@@ -7,9 +7,9 @@
 //   serve/stream                PcapReader::OpenStream over a file
 //                               ByteSource - the daemon's incremental
 //                               bounded-buffer mode
-//   serve/checkpoint/<spec>     Flush + SaveState + manifest encode of a
-//                               loaded sketch - the periodic cost a
-//                               checkpoint interval pays
+//
+// Checkpoint cost is measured end to end by e2ebench (checkpoint_p50_ms
+// and the serve.checkpoint.* ladder rows), not here.
 //
 // The capture comes from HK_BENCH_PCAP when set (CI points this at the
 // committed fixture); otherwise a campus-like capture of HK_BENCH_SCALE
@@ -21,15 +21,11 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "ingest/byte_source.h"
 #include "ingest/capture_synth.h"
 #include "ingest/pcap_reader.h"
-#include "serve/checkpoint.h"
-#include "sketch/registry.h"
 #include "trace/generators.h"
 
 namespace {
@@ -95,62 +91,11 @@ void BM_Stream(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(packets));
 }
 
-void BM_Checkpoint(benchmark::State& state, const std::string& spec) {
-  SketchDefaults defaults;
-  defaults.memory_bytes = 1024 * 1024;
-  defaults.k = 100;
-  defaults.key_kind = KeyKind::kFiveTuple13B;
-  defaults.seed = 1;
-  auto algo = MakeSketch(spec, defaults);
-  {
-    PcapReader reader(PcapKeyPolicy::kFiveTuple);
-    if (!reader.Open(CapturePath())) {
-      state.SkipWithError(reader.error().c_str());
-      return;
-    }
-    PacketRecord record;
-    std::vector<FlowId> ids;
-    ids.reserve(4096);
-    while (reader.Next(&record)) {
-      ids.push_back(record.id);
-      if (ids.size() == ids.capacity()) {
-        algo->InsertBatch(ids);
-        ids.clear();
-      }
-    }
-    algo->InsertBatch(ids);
-  }
-  uint64_t bytes = 0;
-  for (auto _ : state) {
-    CheckpointManifest manifest;
-    CheckpointInstance entry;
-    entry.name = "bench";
-    entry.spec = spec;
-    algo->Flush();
-    if (!algo->SaveState(&entry.state)) {
-      state.SkipWithError("SaveState unsupported");
-      return;
-    }
-    manifest.instances.push_back(std::move(entry));
-    const std::vector<uint8_t> encoded = EncodeCheckpoint(manifest);
-    benchmark::DoNotOptimize(encoded.data());
-    bytes += encoded.size();
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(bytes));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   benchmark::RegisterBenchmark("serve/slurp", BM_Slurp)->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("serve/stream", BM_Stream)->Unit(benchmark::kMillisecond);
-  for (const std::string spec : {"HK-Minimum", "Concurrent:inner=HK-Basic"}) {
-    benchmark::RegisterBenchmark(("serve/checkpoint/" + spec).c_str(),
-                                 [spec](benchmark::State& state) {
-                                   BM_Checkpoint(state, spec);
-                                 })
-        ->Unit(benchmark::kMillisecond);
-  }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

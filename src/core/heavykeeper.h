@@ -46,6 +46,8 @@
 #define HK_CORE_HEAVYKEEPER_H_
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "common/decay.h"
@@ -270,12 +272,19 @@ class HeavyKeeper {
   // The fingerprint the sketch derives for `id`.
   uint32_t FingerprintOf(FlowId id) const { return fingerprint_(id); }
 
-  // Rebuild a sketch from snapshotted state (see core/serialization.h).
-  // `arrays` must match the config geometry: config.d + expansions arrays of
-  // config.w buckets each. Field values are masked into the packed word.
-  static HeavyKeeper Restore(const HeavyKeeperConfig& config,
-                             std::vector<std::vector<Bucket>> arrays, uint64_t stuck_events,
-                             uint64_t expansions);
+  // The packed slab as bytes: num_arrays() * width() words of
+  // config().BucketBytes() each, array-major. This is the serialization v2
+  // payload (core/serialization.h), so a snapshot copies it verbatim.
+  std::span<const uint8_t> SlabImage() const {
+    return {slab_.data(), rows_ * config_.w * word_bytes_};
+  }
+
+  // Rebuild a sketch from snapshotted state (see core/serialization.h):
+  // `image` is a SlabImage() of config.d + expansions arrays, copied into
+  // the slab as is. nullopt when its size does not match that geometry.
+  static std::optional<HeavyKeeper> Restore(const HeavyKeeperConfig& config,
+                                            std::span<const uint8_t> image, uint64_t stuck_events,
+                                            uint64_t expansions);
 
  private:
   template <typename W>

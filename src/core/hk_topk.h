@@ -321,9 +321,12 @@ class HeavyKeeperTopK : public TopKAlgorithm {
 
   // Checkpoint blob: the magic-guarded sketch snapshot (serialization v2)
   // plus the candidate-store entries. The decay RNG restarts from the
-  // config seed on load (core/serialization.h precedent).
+  // config seed on load (core/serialization.h precedent). The snapshot is
+  // written in place, so the slab is copied once, straight into `out`.
   bool SaveState(std::vector<uint8_t>* out) const override {
-    ByteAppendBlob(*out, SerializeSketch(sketch_));
+    const size_t sketch_blob = ByteBeginBlob(*out);
+    AppendSerializedSketch(sketch_, out);
+    ByteEndBlob(*out, sketch_blob);
     const std::vector<FlowCount> entries = store_.Entries();
     ByteAppend(*out, static_cast<uint64_t>(entries.size()));
     for (const FlowCount& e : entries) {
@@ -335,11 +338,11 @@ class HeavyKeeperTopK : public TopKAlgorithm {
 
   bool LoadState(const uint8_t* data, size_t size) override {
     ByteReader reader(data, size);
-    std::vector<uint8_t> blob;
-    if (!reader.ReadBlob(&blob)) {
+    std::span<const uint8_t> blob;
+    if (!reader.BorrowBlob(&blob)) {
       return false;
     }
-    std::optional<HeavyKeeper> restored = DeserializeSketch(blob);
+    std::optional<HeavyKeeper> restored = DeserializeSketch(blob.data(), blob.size());
     if (!restored.has_value()) {
       return false;
     }

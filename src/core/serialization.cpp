@@ -1,8 +1,11 @@
 #include "core/serialization.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+
+#include "common/byte_io.h"
 
 namespace hk {
 namespace {
@@ -17,75 +20,77 @@ constexpr uint64_t kMagic = 0x484b534b45544348ULL;  // "HKSKETCH"
 constexpr uint32_t kVersionV1 = 1;
 constexpr uint32_t kVersion = 2;
 
-template <typename T>
-void Append(std::vector<uint8_t>& out, const T& v) {
-  const size_t pos = out.size();
-  out.resize(pos + sizeof(T));
-  std::memcpy(out.data() + pos, &v, sizeof(T));
-}
-
-class Reader {
- public:
-  Reader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-
-  template <typename T>
-  bool Read(T* v) {
-    if (pos_ + sizeof(T) > size_) {
-      return false;
-    }
-    std::memcpy(v, data_ + pos_, sizeof(T));
-    pos_ += sizeof(T);
+// True when no packed word has a bit set at or above `used_bits` (counter
+// width + fingerprint width), i.e. every fingerprint fits its field. The
+// only check a v2 image needs: a counter field cannot overflow its width.
+template <typename W>
+bool FieldsFit(const uint8_t* image, size_t words, uint32_t used_bits) {
+  if (used_bits >= sizeof(W) * 8) {
     return true;
   }
+  W overflow = 0;
+  for (size_t i = 0; i < words; ++i) {
+    W word;
+    std::memcpy(&word, image + i * sizeof(W), sizeof(W));
+    overflow |= word >> used_bits;
+  }
+  return overflow == 0;
+}
 
-  bool Done() const { return pos_ == size_; }
-
- private:
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
+// v1 pairs packed into v2 words (counters saturate at the field width, as
+// the pre-slab restore did). False on a fingerprint wider than its field.
+template <typename W>
+bool PackV1(const uint8_t* pairs, size_t buckets, const HeavyKeeperConfig& config,
+            std::vector<uint8_t>* image) {
+  const uint32_t cb = config.CounterFieldBits();
+  const uint64_t cmax = (uint64_t{1} << cb) - 1;
+  image->resize(buckets * sizeof(W));
+  for (size_t i = 0; i < buckets; ++i) {
+    uint32_t fp = 0;
+    uint32_t c = 0;
+    std::memcpy(&fp, pairs + 8 * i, sizeof(fp));
+    std::memcpy(&c, pairs + 8 * i + 4, sizeof(c));
+    if (uint64_t{fp} >> config.fingerprint_bits != 0) {
+      return false;
+    }
+    const W word = static_cast<W>((W{fp} << cb) | std::min<uint64_t>(c, cmax));
+    std::memcpy(image->data() + i * sizeof(W), &word, sizeof(W));
+  }
+  return true;
+}
 
 }  // namespace
 
-std::vector<uint8_t> SerializeSketch(const HeavyKeeper& sketch) {
+void AppendSerializedSketch(const HeavyKeeper& sketch, std::vector<uint8_t>* out) {
   const HeavyKeeperConfig& config = sketch.config();
-  const auto arrays = sketch.DebugDump();
-
-  std::vector<uint8_t> out;
-  out.reserve(64 + arrays.size() * config.w * 8);
-  Append(out, kMagic);
-  Append(out, kVersion);
-  Append(out, static_cast<uint64_t>(config.d));
-  Append(out, static_cast<uint64_t>(config.w));
-  Append(out, config.b);
-  Append(out, static_cast<uint32_t>(config.decay_function));
-  Append(out, config.fingerprint_bits);
-  Append(out, config.counter_bits);
-  Append(out, config.seed);
-  Append(out, config.expansion_threshold);
-  Append(out, static_cast<uint64_t>(config.max_arrays));
-  Append(out, sketch.stuck_events());
-  Append(out, sketch.expansions());
-  Append(out, static_cast<uint64_t>(arrays.size()));
-  // v2 payload: the packed slab words. Self-describing via the config
+  const std::span<const uint8_t> image = sketch.SlabImage();
+  ByteAppend(*out, kMagic);
+  ByteAppend(*out, kVersion);
+  ByteAppend(*out, static_cast<uint64_t>(config.d));
+  ByteAppend(*out, static_cast<uint64_t>(config.w));
+  ByteAppend(*out, config.b);
+  ByteAppend(*out, static_cast<uint32_t>(config.decay_function));
+  ByteAppend(*out, config.fingerprint_bits);
+  ByteAppend(*out, config.counter_bits);
+  ByteAppend(*out, config.seed);
+  ByteAppend(*out, config.expansion_threshold);
+  ByteAppend(*out, static_cast<uint64_t>(config.max_arrays));
+  ByteAppend(*out, sketch.stuck_events());
+  ByteAppend(*out, sketch.expansions());
+  ByteAppend(*out, static_cast<uint64_t>(sketch.num_arrays()));
+  // v2 payload: the packed slab words, self-describing via the config
   // fields above (BucketBytes() and CounterFieldBits() derive from them).
-  const uint32_t cb = config.CounterFieldBits();
-  const bool wide = config.BucketBytes() == 8;
-  for (const auto& array : arrays) {
-    for (const auto& bucket : array) {
-      if (wide) {
-        Append(out, (static_cast<uint64_t>(bucket.fp) << cb) | bucket.c);
-      } else {
-        Append(out, (bucket.fp << cb) | bucket.c);
-      }
-    }
-  }
+  out->insert(out->end(), image.begin(), image.end());
+}
+
+std::vector<uint8_t> SerializeSketch(const HeavyKeeper& sketch) {
+  std::vector<uint8_t> out;
+  AppendSerializedSketch(sketch, &out);
   return out;
 }
 
 std::optional<HeavyKeeper> DeserializeSketch(const uint8_t* data, size_t size) {
-  Reader reader(data, size);
+  ByteReader reader(data, size);
   uint64_t magic = 0;
   uint32_t version = 0;
   if (!reader.Read(&magic) || magic != kMagic || !reader.Read(&version) ||
@@ -115,54 +120,46 @@ std::optional<HeavyKeeper> DeserializeSketch(const uint8_t* data, size_t size) {
   // Geometry limits: a legitimate writer can never exceed
   // kMaxPreparedArrays arrays (the constructor clamps d and max_arrays),
   // and Prepare() addresses arrays through a fixed idx[kMaxPreparedArrays]
-  // handle - so a header claiming more is corrupt, not just unusual.
+  // handle - so a header claiming more is corrupt, not just unusual. The
+  // constructor also clamps the fingerprint width to 1..32, so a width
+  // outside it cannot have been written either.
   if (d == 0 || d > HeavyKeeper::kMaxPreparedArrays ||
-      num_arrays > HeavyKeeper::kMaxPreparedArrays) {
+      num_arrays > HeavyKeeper::kMaxPreparedArrays || config.fingerprint_bits == 0 ||
+      config.fingerprint_bits > 32) {
     return std::nullopt;
   }
   if (num_arrays != d + expansions || num_arrays > max_arrays + d || w == 0) {
     return std::nullopt;
   }
 
-  const uint32_t cb = config.CounterFieldBits();
-  const bool wide = config.BucketBytes() == 8;
-  const uint64_t cmask = cb >= 64 ? ~0ULL : ((1ULL << cb) - 1);
-  const uint64_t fp_limit = config.fingerprint_bits >= 32
-                                ? (1ULL << 32)
-                                : (1ULL << config.fingerprint_bits);
-  std::vector<std::vector<HeavyKeeper::Bucket>> arrays(
-      num_arrays, std::vector<HeavyKeeper::Bucket>(w));
-  for (auto& array : arrays) {
-    for (auto& bucket : array) {
-      if (version == kVersionV1) {
-        // v1: unpacked (fp, c) uint32 pairs from the pre-slab layout.
-        if (!reader.Read(&bucket.fp) || !reader.Read(&bucket.c)) {
-          return std::nullopt;
-        }
-      } else if (wide) {
-        uint64_t word = 0;
-        if (!reader.Read(&word)) {
-          return std::nullopt;
-        }
-        bucket.fp = static_cast<uint32_t>(word >> cb);
-        bucket.c = static_cast<uint32_t>(word & cmask);
-      } else {
-        uint32_t word = 0;
-        if (!reader.Read(&word)) {
-          return std::nullopt;
-        }
-        bucket.fp = word >> cb;
-        bucket.c = static_cast<uint32_t>(word & cmask);
-      }
-      if (bucket.fp >= fp_limit) {
-        return std::nullopt;  // field overflows the packed word: corrupt
-      }
-    }
-  }
-  if (!reader.Done()) {
+  // The payload must be exactly num_arrays * w buckets; checked by division
+  // first so a crafted w cannot overflow the product.
+  const size_t word_bytes = config.BucketBytes();
+  const size_t stored_bytes = version == kVersionV1 ? 2 * sizeof(uint32_t) : word_bytes;
+  const size_t payload = reader.remaining();
+  if (w > payload / (num_arrays * stored_bytes) || payload != num_arrays * w * stored_bytes) {
     return std::nullopt;
   }
-  return HeavyKeeper::Restore(config, std::move(arrays), stuck_events, expansions);
+  const uint8_t* stored = reader.Borrow(payload);
+  const size_t buckets = num_arrays * w;
+  std::span<const uint8_t> image(stored, payload);
+  std::vector<uint8_t> packed;
+  if (version == kVersionV1) {
+    const bool ok = word_bytes == 8 ? PackV1<uint64_t>(stored, buckets, config, &packed)
+                                    : PackV1<uint32_t>(stored, buckets, config, &packed);
+    if (!ok) {
+      return std::nullopt;
+    }
+    image = packed;
+  } else {
+    const uint32_t used_bits = config.CounterFieldBits() + config.fingerprint_bits;
+    const bool ok = word_bytes == 8 ? FieldsFit<uint64_t>(stored, buckets, used_bits)
+                                    : FieldsFit<uint32_t>(stored, buckets, used_bits);
+    if (!ok) {
+      return std::nullopt;  // a field overflows the packed word: corrupt
+    }
+  }
+  return HeavyKeeper::Restore(config, image, stuck_events, expansions);
 }
 
 bool SaveSketch(const HeavyKeeper& sketch, const std::string& path) {

@@ -21,6 +21,10 @@ namespace hk {
 // Snapshot the sketch (config + every bucket + expansion state).
 std::vector<uint8_t> SerializeSketch(const HeavyKeeper& sketch);
 
+// SerializeSketch appended to *out: the header, then the slab image in one
+// copy. Checkpoints use this to write a sketch straight into their blob.
+void AppendSerializedSketch(const HeavyKeeper& sketch, std::vector<uint8_t>* out);
+
 // Rebuild a sketch from a snapshot. Returns nullopt on a malformed buffer.
 std::optional<HeavyKeeper> DeserializeSketch(const uint8_t* data, size_t size);
 

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -30,23 +31,99 @@ bool Fail(std::string* error, const std::string& what) {
   return false;
 }
 
-std::vector<uint8_t> EncodePayload(const CheckpointManifest& manifest) {
-  std::vector<uint8_t> payload;
-  ByteAppend(payload, static_cast<uint64_t>(manifest.instances.size()));
-  for (const CheckpointInstance& inst : manifest.instances) {
-    ByteAppendString(payload, inst.name);
-    ByteAppendString(payload, inst.spec);
-    ByteAppend(payload, inst.memory_bytes);
-    ByteAppend(payload, inst.k);
-    ByteAppend(payload, inst.key_kind);
-    ByteAppend(payload, inst.seed);
-    ByteAppendString(payload, inst.source);
-    ByteAppend(payload, inst.source_key_policy);
-    ByteAppend(payload, inst.byte_weighted);
-    ByteAppend(payload, inst.packets_applied);
-    ByteAppendBlob(payload, inst.state);
+// Payload bytes are checksummed and handed on in chunks this size, so a
+// chunk the CRC just read is still in cache when the write copies it.
+constexpr size_t kEmitChunk = 1 << 20;
+
+// The one checkpoint encoder behind EncodeCheckpoint and
+// WriteCheckpointAtomic. The payload is the instance count, then each
+// instance's fields and its length-prefixed state blob. The encoder owns
+// only the framing (everything but the blobs) and borrows each blob from
+// the manifest, so no state is copied to be framed.
+class PayloadEncoder {
+ public:
+  explicit PayloadEncoder(const CheckpointManifest& manifest) : manifest_(manifest) {
+    ByteAppend(framing_, static_cast<uint64_t>(manifest.instances.size()));
+    for (const CheckpointInstance& inst : manifest.instances) {
+      ByteAppendString(framing_, inst.name);
+      ByteAppendString(framing_, inst.spec);
+      ByteAppend(framing_, inst.memory_bytes);
+      ByteAppend(framing_, inst.k);
+      ByteAppend(framing_, inst.key_kind);
+      ByteAppend(framing_, inst.seed);
+      ByteAppendString(framing_, inst.source);
+      ByteAppend(framing_, inst.source_key_policy);
+      ByteAppend(framing_, inst.byte_weighted);
+      ByteAppend(framing_, inst.packets_applied);
+      ByteAppend(framing_, static_cast<uint64_t>(inst.state.size()));
+      framing_ends_.push_back(framing_.size());
+      state_bytes_ += inst.state.size();
+    }
   }
-  return payload;
+
+  uint64_t size() const { return framing_.size() + state_bytes_; }
+
+  // Hand every payload byte to `sink(data, n)` in file order and set *crc
+  // to the CRC32 chained across them. False as soon as the sink fails.
+  template <typename Sink>
+  bool Emit(Sink&& sink, uint32_t* crc) const {
+    uint32_t running = 0;
+    const auto piece = [&](const uint8_t* data, size_t n) {
+      for (size_t at = 0; at < n; at += kEmitChunk) {
+        const size_t len = std::min(kEmitChunk, n - at);
+        running = Crc32(data + at, len, running);
+        if (!sink(data + at, len)) {
+          return false;
+        }
+      }
+      return true;
+    };
+    size_t begin = 0;
+    for (size_t i = 0; i < framing_ends_.size(); ++i) {
+      const std::vector<uint8_t>& state = manifest_.instances[i].state;
+      if (!piece(framing_.data() + begin, framing_ends_[i] - begin) ||
+          !piece(state.data(), state.size())) {
+        return false;
+      }
+      begin = framing_ends_[i];
+    }
+    if (!piece(framing_.data() + begin, framing_.size() - begin)) {
+      return false;
+    }
+    *crc = running;
+    return true;
+  }
+
+ private:
+  const CheckpointManifest& manifest_;
+  std::vector<uint8_t> framing_;
+  std::vector<size_t> framing_ends_;  // instance i's framing ends at framing_ends_[i]
+  uint64_t state_bytes_ = 0;
+};
+
+std::vector<uint8_t> EncodeHeader(uint64_t payload_len, uint32_t crc) {
+  std::vector<uint8_t> header;
+  header.reserve(kHeaderBytes);
+  ByteAppend(header, kMagic);
+  ByteAppend(header, kVersion);
+  ByteAppend(header, payload_len);
+  ByteAppend(header, crc);
+  return header;
+}
+
+bool WriteFd(int fd, const uint8_t* data, size_t size) {
+  while (size > 0) {
+    const ssize_t n = ::write(fd, data, size);
+    if (n < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      return false;
+    }
+    data += n;
+    size -= static_cast<size_t>(n);
+  }
+  return true;
 }
 
 bool DecodePayload(const uint8_t* data, size_t size, CheckpointManifest* out,
@@ -95,14 +172,19 @@ bool DecodePayload(const uint8_t* data, size_t size, CheckpointManifest* out,
 }  // namespace
 
 std::vector<uint8_t> EncodeCheckpoint(const CheckpointManifest& manifest) {
-  const std::vector<uint8_t> payload = EncodePayload(manifest);
+  const PayloadEncoder payload(manifest);
   std::vector<uint8_t> file;
   file.reserve(kHeaderBytes + payload.size());
-  ByteAppend(file, kMagic);
-  ByteAppend(file, kVersion);
-  ByteAppend(file, static_cast<uint64_t>(payload.size()));
-  ByteAppend(file, Crc32(payload));
-  file.insert(file.end(), payload.begin(), payload.end());
+  file.resize(kHeaderBytes);  // the header goes in once the CRC is known
+  uint32_t crc = 0;
+  payload.Emit(
+      [&file](const uint8_t* data, size_t n) {
+        file.insert(file.end(), data, data + n);
+        return true;
+      },
+      &crc);
+  const std::vector<uint8_t> header = EncodeHeader(payload.size(), crc);
+  std::copy(header.begin(), header.end(), file.begin());
   return file;
 }
 
@@ -147,26 +229,29 @@ bool WriteCheckpointAtomic(const std::string& path, const CheckpointManifest& ma
   static telemetry::Gauge* const checkpoint_bytes = telemetry::Registry::Get().GetGauge(
       "hk_serve_checkpoint_bytes", "Encoded size of the most recent checkpoint file");
   const telemetry::ScopedTimer timer(checkpoint_us);
-  const std::vector<uint8_t> bytes = EncodeCheckpoint(manifest);
-  checkpoint_bytes->Set(static_cast<int64_t>(bytes.size()));
+  const PayloadEncoder payload(manifest);
+  checkpoint_bytes->Set(static_cast<int64_t>(kHeaderBytes + payload.size()));
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) {
     return Fail(error, "open " + tmp + ": " + std::strerror(errno));
   }
-  size_t written = 0;
-  while (written < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + written, bytes.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      const std::string what = std::strerror(errno);
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return Fail(error, "write " + tmp + ": " + what);
-    }
-    written += static_cast<size_t>(n);
+  // Header placeholder, then the payload pieces with the CRC chained
+  // across them, then the real header over the placeholder: the state is
+  // read once and never staged in a second full-size buffer.
+  const auto write = [fd](const uint8_t* data, size_t n) { return WriteFd(fd, data, n); };
+  const std::vector<uint8_t> placeholder = EncodeHeader(payload.size(), 0);
+  uint32_t crc = 0;
+  bool ok = write(placeholder.data(), placeholder.size()) && payload.Emit(write, &crc);
+  if (ok) {
+    const std::vector<uint8_t> header = EncodeHeader(payload.size(), crc);
+    ok = ::pwrite(fd, header.data(), header.size(), 0) == static_cast<ssize_t>(header.size());
+  }
+  if (!ok) {
+    const std::string what = std::strerror(errno);
+    ::close(fd);
+    ::unlink(tmp.c_str());
+    return Fail(error, "write " + tmp + ": " + what);
   }
   // Durability order: file contents, then the rename, then the directory
   // entry - the sequence that makes the rename the commit point.

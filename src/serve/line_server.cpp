@@ -77,6 +77,9 @@ void LineServer::AcceptLoop() {
       }
       return;  // listener fd gone
     }
+    // No TCP_NODELAY here, on purpose: with Nagle on, the replies to a
+    // pipelined burst coalesce, which measured faster end to end (README,
+    // "Running as a service").
     tm_connections_->Add();
     std::lock_guard<std::mutex> lock(clients_mu_);
     client_fds_.push_back(fd);

@@ -93,6 +93,11 @@ bool ReplayableSource(const std::string& source) {
   return source != "-" && source.rfind("tcp://", 0) != 0;
 }
 
+// SaveState writes a little more than MemoryBytes() charges (headers,
+// length slots, candidate entries); reserving this much on top lets one
+// allocation hold a whole state blob.
+constexpr size_t kStateSlackBytes = 64 * 1024;
+
 }  // namespace
 
 bool ParseAttachArgs(const std::vector<std::string>& args, size_t first, SourceBinding* out,
@@ -211,6 +216,9 @@ bool ServeCore::Create(const std::string& name, const std::string& spec, std::st
 bool ServeCore::Drop(const std::string& name, std::string* err) {
   std::unique_ptr<Instance> victim;
   {
+    // A checkpoint in flight saves instances outside map_mu_; holding
+    // checkpoint_mu_ keeps this one alive until that checkpoint is done.
+    std::lock_guard<std::mutex> ckpt_lock(checkpoint_mu_);
     std::lock_guard<std::mutex> lock(map_mu_);
     const auto it = instances_.find(name);
     if (it == instances_.end()) {
@@ -248,8 +256,13 @@ bool ServeCore::Attach(const std::string& name, const SourceBinding& binding,
       return false;
     }
   }
-  inst->binding = binding;
-  inst->attached = true;
+  {
+    // Under mu as well as map_mu_: WriteCheckpoint reads the binding under
+    // mu alone, in the same cut as the state and the applied offset.
+    std::lock_guard<std::mutex> inst_lock(inst->mu);
+    inst->binding = binding;
+    inst->attached = true;
+  }
   // Register the instance's ingest series here (not in the thread) so the
   // metric names are visible to METRICS the moment ATTACH returns.
   {
@@ -366,37 +379,48 @@ bool ServeCore::WriteCheckpoint(std::string* err) {
     *err = "checkpointing disabled (no --checkpoint path)";
     return false;
   }
+  // checkpoint_mu_ keeps Drop from freeing an instance while it is being
+  // saved, so map_mu_ is held only to list the instances: no verb waits on
+  // a SaveState except those on the instance being saved.
   std::lock_guard<std::mutex> ckpt_lock(checkpoint_mu_);
-  CheckpointManifest manifest;
+  std::vector<Instance*> instances;
   {
     std::lock_guard<std::mutex> lock(map_mu_);
-    manifest.instances.reserve(instances_.size());
+    instances.reserve(instances_.size());
     for (auto& [name, inst] : instances_) {
-      CheckpointInstance entry;
-      entry.name = inst->name;
-      entry.spec = inst->spec;
-      entry.memory_bytes = inst->defaults.memory_bytes;
-      entry.k = inst->defaults.k;
-      entry.key_kind = static_cast<uint8_t>(inst->defaults.key_kind);
-      entry.seed = inst->defaults.seed;
-      {
-        std::lock_guard<std::mutex> inst_lock(inst->mu);
-        inst->algo->Flush();
-        if (!inst->algo->SaveState(&entry.state)) {
-          *err = "instance '" + inst->name + "' (" + inst->algo->name() +
-                 ") does not support checkpointing";
-          tm_checkpoint_failures_->Add();
-          return false;
-        }
-        entry.packets_applied = inst->packets_applied;
+      instances.push_back(inst.get());
+    }
+  }
+  CheckpointManifest manifest;
+  manifest.instances.reserve(instances.size());
+  for (Instance* inst : instances) {
+    CheckpointInstance entry;
+    entry.name = inst->name;
+    entry.spec = inst->spec;
+    entry.memory_bytes = inst->defaults.memory_bytes;
+    entry.k = inst->defaults.k;
+    entry.key_kind = static_cast<uint8_t>(inst->defaults.key_kind);
+    entry.seed = inst->defaults.seed;
+    {
+      // One cut: the state, the applied offset and the source binding all
+      // change only under mu.
+      std::lock_guard<std::mutex> inst_lock(inst->mu);
+      inst->algo->Flush();
+      entry.state.reserve(inst->algo->MemoryBytes() + kStateSlackBytes);
+      if (!inst->algo->SaveState(&entry.state)) {
+        *err = "instance '" + inst->name + "' (" + inst->algo->name() +
+               ") does not support checkpointing";
+        tm_checkpoint_failures_->Add();
+        return false;
       }
+      entry.packets_applied = inst->packets_applied;
       if (inst->attached) {
         entry.source = inst->binding.source;
         entry.source_key_policy = static_cast<uint8_t>(inst->binding.policy);
         entry.byte_weighted = inst->binding.byte_weighted ? 1 : 0;
       }
-      manifest.instances.push_back(std::move(entry));
     }
+    manifest.instances.push_back(std::move(entry));
   }
   if (!WriteCheckpointAtomic(options_.checkpoint_path, manifest, err)) {
     tm_checkpoint_failures_->Add();

@@ -47,14 +47,15 @@
 // For every other algorithm "relaxed" degrades to a (brief) lock + exact
 // snapshot, and the response says which consistency was delivered.
 //
-// Crash recovery: WriteCheckpoint() locks instances one at a time,
-// Flush()es, SaveState()s, and records the applied-packet offset under
-// the same lock (state and offset are a consistent pair), then commits
-// the manifest with the atomic temp+fsync+rename protocol
-// (serve/checkpoint.h). Recover() rebuilds every instance from the
-// manifest and re-attaches file sources with the offset skipped - a
-// killed and restarted daemon loses nothing from a file-backed stream
-// and at most one checkpoint interval from a pipe.
+// Crash recovery: WriteCheckpoint() lists the instances under map_mu_ and
+// releases it, then locks each instance in turn and Flush()es it,
+// SaveState()s it and reads its applied-packet offset and source binding
+// under that one lock (a consistent cut), then commits the manifest with
+// the atomic temp+fsync+rename protocol (serve/checkpoint.h). Only verbs
+// on the instance being saved wait for its SaveState. Recover() rebuilds
+// every instance from the manifest and re-attaches file sources with the
+// offset skipped - a killed and restarted daemon loses nothing from a
+// file-backed stream and at most one checkpoint interval from a pipe.
 #ifndef HK_SERVE_SERVE_CORE_H_
 #define HK_SERVE_SERVE_CORE_H_
 
@@ -134,7 +135,8 @@ class ServeCore {
     uint64_t packets_applied = 0;
     uint64_t wire_bytes_applied = 0;
 
-    // Source binding (set once by Attach, read by checkpoint/LIST).
+    // Source binding: set once by Attach under map_mu_ and mu, so LIST and
+    // STATS read it under map_mu_ and WriteCheckpoint under mu.
     SourceBinding binding;
     bool attached = false;
     std::thread ingest;
@@ -150,7 +152,8 @@ class ServeCore {
   };
 
   // map_mu_ guards the map shape (create/drop/lookup); per-instance mu
-  // guards each algorithm. Lock order: map_mu_ before instance mu.
+  // guards each algorithm. Lock order: checkpoint_mu_, then map_mu_, then
+  // instance mu.
   Instance* FindLocked(const std::string& name);
   // Resolve a possibly-omitted instance name (single-tenant convenience).
   Instance* Resolve(const std::string& name, std::string* err);
@@ -173,6 +176,8 @@ class ServeCore {
   mutable std::mutex map_mu_;
   std::map<std::string, std::unique_ptr<Instance>> instances_;
   // Serializes whole-manifest writes (protocol CHECKPOINT vs the timer).
+  // A checkpoint saves instances without map_mu_, so Drop takes this too:
+  // an instance is never freed while a checkpoint holds its pointer.
   std::mutex checkpoint_mu_;
 
   // Daemon-wide series; the per-verb pair is registered eagerly for every

@@ -335,18 +335,18 @@ size_t ShardedTopK::MemoryBytes() const {
 
 bool ShardedTopK::SaveState(std::vector<uint8_t>* out) const {
   WaitIdle();
-  // Stage into a local buffer so an inner that cannot checkpoint leaves
-  // the caller's output untouched.
-  std::vector<uint8_t> buf;
-  ByteAppend(buf, static_cast<uint64_t>(shards_.size()));
+  // Each inner writes in place behind its length slot; an inner that
+  // cannot checkpoint rolls `out` back to where it started.
+  const size_t start = out->size();
+  ByteAppend(*out, static_cast<uint64_t>(shards_.size()));
   for (const auto& shard : shards_) {
-    std::vector<uint8_t> inner;
-    if (!shard->algo->SaveState(&inner)) {
+    const size_t blob = ByteBeginBlob(*out);
+    if (!shard->algo->SaveState(out)) {
+      out->resize(start);
       return false;
     }
-    ByteAppendBlob(buf, inner);
+    ByteEndBlob(*out, blob);
   }
-  out->insert(out->end(), buf.begin(), buf.end());
   return true;
 }
 
@@ -357,11 +357,11 @@ bool ShardedTopK::LoadState(const uint8_t* data, size_t size) {
   if (!reader.Read(&n) || n != shards_.size()) {
     return false;
   }
-  // Per-shard delegation is not atomic across shards: split the blobs out
+  // Per-shard delegation is not atomic across shards: frame every blob
   // first so a short buffer cannot leave half the shards restored.
-  std::vector<std::vector<uint8_t>> blobs(shards_.size());
+  std::vector<std::span<const uint8_t>> blobs(shards_.size());
   for (auto& blob : blobs) {
-    if (!reader.ReadBlob(&blob)) {
+    if (!reader.BorrowBlob(&blob)) {
       return false;
     }
   }

@@ -257,22 +257,22 @@ size_t WindowedTopK::MemoryBytes() const {
 size_t WindowedTopK::WorkerThreads() const { return 0; }
 
 bool WindowedTopK::SaveState(std::vector<uint8_t>* out) const {
-  // Stage into a local buffer so an inner that cannot checkpoint leaves
-  // the caller's output untouched.
-  std::vector<uint8_t> buf;
-  ByteAppend(buf, static_cast<uint64_t>(slots_.size()));
-  ByteAppend(buf, options_.epoch_packets);
-  ByteAppend(buf, static_cast<uint64_t>(current_));
-  ByteAppend(buf, epoch_);
-  ByteAppend(buf, in_epoch_);
+  // Each slot writes in place behind its length slot; a slot that cannot
+  // checkpoint rolls `out` back to where it started.
+  const size_t start = out->size();
+  ByteAppend(*out, static_cast<uint64_t>(slots_.size()));
+  ByteAppend(*out, options_.epoch_packets);
+  ByteAppend(*out, static_cast<uint64_t>(current_));
+  ByteAppend(*out, epoch_);
+  ByteAppend(*out, in_epoch_);
   for (const auto& slot : slots_) {
-    std::vector<uint8_t> inner;
-    if (!slot->SaveState(&inner)) {
+    const size_t blob = ByteBeginBlob(*out);
+    if (!slot->SaveState(out)) {
+      out->resize(start);
       return false;
     }
-    ByteAppendBlob(buf, inner);
+    ByteEndBlob(*out, blob);
   }
-  out->insert(out->end(), buf.begin(), buf.end());
   return true;
 }
 
@@ -289,11 +289,11 @@ bool WindowedTopK::LoadState(const uint8_t* data, size_t size) {
       in_epoch >= epoch_packets) {
     return false;
   }
-  // Per-slot delegation is not atomic across slots: split the blobs out
-  // first so a short buffer cannot leave half the ring restored.
-  std::vector<std::vector<uint8_t>> blobs(slots_.size());
+  // Per-slot delegation is not atomic across slots: frame every blob first
+  // so a short buffer cannot leave half the ring restored.
+  std::vector<std::span<const uint8_t>> blobs(slots_.size());
   for (auto& blob : blobs) {
-    if (!reader.ReadBlob(&blob)) {
+    if (!reader.BorrowBlob(&blob)) {
       return false;
     }
   }

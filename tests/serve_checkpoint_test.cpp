@@ -2,20 +2,34 @@
 // exact for every registered sketch - a recovered daemon answers queries
 // identically to the one that crashed; (2) the manifest file format
 // rejects every species of corruption a crash can mint (torn tail,
-// truncation, bit flips, foreign bytes) instead of loading garbage.
+// truncation, bit flips, foreign bytes) instead of loading garbage; (3)
+// the bytes on disk are pinned: Crc32 equals its bitwise definition, and a
+// committed checkpoint file is reproduced byte for byte by both writers.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/byte_io.h"
+#include "common/random.h"
+#include "ingest/pcap_reader.h"
 #include "serve/checkpoint.h"
 #include "sketch/registry.h"
 #include "trace/generators.h"
 
 namespace hk {
 namespace {
+
+#ifndef HK_TEST_DATA_DIR
+#define HK_TEST_DATA_DIR "tests/data"
+#endif
 
 SketchDefaults SmallDefaults() {
   SketchDefaults d;
@@ -34,6 +48,66 @@ void WriteFileBytes(const std::string& path, const std::vector<uint8_t>& bytes) 
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
+}
+
+std::vector<uint8_t> ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
+                              std::istreambuf_iterator<char>());
+}
+
+// ---------------------------------------------------------------------------
+// Crc32 against its definition: the reflected 0xEDB88320 polynomial one bit
+// at a time, which is what every checkpoint CRC on disk was computed with.
+
+uint32_t BitwiseCrc32(const uint8_t* data, size_t size, uint32_t seed = 0) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) != 0 ? 0xedb88320u : 0u);
+    }
+  }
+  return ~crc;
+}
+
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> bytes(n);
+  for (uint8_t& b : bytes) {
+    b = static_cast<uint8_t>(rng.NextU64());
+  }
+  return bytes;
+}
+
+TEST(Crc32, KnownAnswer) {
+  const std::string check = "123456789";
+  EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(check.data()), check.size()), 0xcbf43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0..300 from start offsets 0..7 cover every alignment of the
+  // 8-byte inner loop and every tail length.
+  const std::vector<uint8_t> bytes = RandomBytes(300 + 8, 11);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 300; ++len) {
+      ASSERT_EQ(Crc32(bytes.data() + offset, len), BitwiseCrc32(bytes.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32, ChainsAcrossSplits) {
+  // The piecewise checkpoint writer relies on Crc32(b, Crc32(a)) being
+  // Crc32(a || b) wherever the pieces split.
+  const std::vector<uint8_t> bytes = RandomBytes(300, 12);
+  const uint32_t whole = Crc32(bytes);
+  ASSERT_EQ(whole, BitwiseCrc32(bytes.data(), bytes.size()));
+  for (size_t split = 0; split <= bytes.size(); ++split) {
+    const uint32_t head = Crc32(bytes.data(), split);
+    ASSERT_EQ(Crc32(bytes.data() + split, bytes.size() - split, head), whole) << "split " << split;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -271,6 +345,109 @@ TEST(CheckpointFile, MissingFileReportsOpenError) {
   EXPECT_FALSE(LoadCheckpoint(TempPath("ckpt_never_written.hk"), &out, &err));
   // ServeCore::Recover keys "fresh start" off this prefix.
   EXPECT_EQ(err.rfind("open ", 0), 0u) << err;
+}
+
+// ---------------------------------------------------------------------------
+// Format pin. tests/data/checkpoint_golden.hkc was written by the original
+// encoder (bitwise Crc32, bucket-by-bucket sketch serialization) from the
+// manifest GoldenManifest() builds: 4-byte and 8-byte slab words, a sharded
+// and a windowed wrapper, each fed the committed campus fixture. Every
+// later encoder must reproduce it byte for byte. Regenerate only when the
+// format changes on purpose:
+//   HK_WRITE_GOLDENS=1 ./hk_tests --gtest_filter='CheckpointGolden*'
+
+constexpr const char* kGoldenSpecs[][2] = {
+    {"narrow", "HK-Minimum:mem=8KB"},
+    {"wide", "HK-Parallel:fp=24,mem=8KB"},
+    {"sharded", "Sharded:n=2,mem=8KB,inner=HK-Minimum:d=4"},
+    {"window", "Window:w=4,epoch=700,mem=8KB,inner=HK-Minimum"},
+};
+
+std::string GoldenPath() { return std::string(HK_TEST_DATA_DIR) + "/checkpoint_golden.hkc"; }
+
+struct GoldenReplay {
+  CheckpointManifest manifest;
+  std::vector<std::unique_ptr<TopKAlgorithm>> algos;  // parallel to manifest.instances
+};
+
+GoldenReplay ReplayGolden() {
+  const std::string capture = std::string(HK_TEST_DATA_DIR) + "/fixture_campus.pcap";
+  PcapReader reader(PcapKeyPolicy::kFiveTuple);
+  EXPECT_TRUE(reader.Open(capture)) << reader.error();
+  std::vector<FlowId> ids;
+  PacketRecord record;
+  while (reader.Next(&record)) {
+    ids.push_back(record.id);
+  }
+  const SketchDefaults defaults = SmallDefaults();
+  GoldenReplay replay;
+  for (const auto& [name, spec] : kGoldenSpecs) {
+    auto algo = MakeSketch(spec, defaults);
+    algo->InsertBatch(ids);
+    algo->Flush();
+    CheckpointInstance entry;
+    entry.name = name;
+    entry.spec = spec;
+    entry.memory_bytes = defaults.memory_bytes;
+    entry.k = defaults.k;
+    entry.key_kind = static_cast<uint8_t>(defaults.key_kind);
+    entry.seed = defaults.seed;
+    entry.source = "tests/data/fixture_campus.pcap";
+    entry.packets_applied = ids.size();
+    EXPECT_TRUE(algo->SaveState(&entry.state)) << spec;
+    replay.manifest.instances.push_back(std::move(entry));
+    replay.algos.push_back(std::move(algo));
+  }
+  return replay;
+}
+
+TEST(CheckpointGolden, EncoderReproducesCommittedFile) {
+  const GoldenReplay replay = ReplayGolden();
+  const std::vector<uint8_t> encoded = EncodeCheckpoint(replay.manifest);
+  if (std::getenv("HK_WRITE_GOLDENS") != nullptr) {
+    WriteFileBytes(GoldenPath(), encoded);
+    GTEST_SKIP() << "rewrote " << GoldenPath();
+  }
+  const std::vector<uint8_t> golden = ReadFileBytes(GoldenPath());
+  ASSERT_FALSE(golden.empty()) << "missing " << GoldenPath();
+  EXPECT_LE(golden.size(), 64u * 1024);
+  EXPECT_TRUE(encoded == golden) << "EncodeCheckpoint diverged from " << GoldenPath();
+}
+
+TEST(CheckpointGolden, AtomicWriterReproducesCommittedFile) {
+  const GoldenReplay replay = ReplayGolden();
+  const std::string path = TempPath("ckpt_golden_" + std::to_string(::getpid()) + ".hk");
+  std::string err;
+  ASSERT_TRUE(WriteCheckpointAtomic(path, replay.manifest, &err)) << err;
+  const std::vector<uint8_t> written = ReadFileBytes(path);
+  std::remove(path.c_str());
+  EXPECT_TRUE(written == ReadFileBytes(GoldenPath()))
+      << "WriteCheckpointAtomic diverged from " << GoldenPath();
+}
+
+TEST(CheckpointGolden, CommittedFileRestoresTheReplay) {
+  const GoldenReplay replay = ReplayGolden();
+  CheckpointManifest loaded;
+  std::string err;
+  ASSERT_TRUE(LoadCheckpoint(GoldenPath(), &loaded, &err)) << err;
+  ASSERT_EQ(loaded.instances.size(), replay.algos.size());
+  QueryOptions exact;
+  exact.k = 50;
+  for (size_t i = 0; i < replay.algos.size(); ++i) {
+    const CheckpointInstance& entry = loaded.instances[i];
+    SketchDefaults defaults;
+    defaults.memory_bytes = entry.memory_bytes;
+    defaults.k = entry.k;
+    defaults.key_kind = static_cast<KeyKind>(entry.key_kind);
+    defaults.seed = entry.seed;
+    auto restored = MakeSketch(entry.spec, defaults);
+    ASSERT_TRUE(restored->LoadState(entry.state.data(), entry.state.size())) << entry.spec;
+    const QueryResult want = replay.algos[i]->Snapshot(exact);
+    const QueryResult got = restored->Snapshot(exact);
+    ASSERT_FALSE(want.flows.empty()) << entry.spec;
+    EXPECT_EQ(got.flows, want.flows) << entry.spec;
+    EXPECT_EQ(got.stats.tracked_flows, want.stats.tracked_flows) << entry.spec;
+  }
 }
 
 }  // namespace

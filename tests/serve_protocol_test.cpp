@@ -37,22 +37,25 @@ ServeOptions SmallOptions() {
   return options;
 }
 
-// Synthesize a capture once per process; returns its exact oracle.
+// A capture synthesized once per process, with its exact oracle. ctest
+// runs each test case as its own process, several at once, so the file
+// name carries the pid (no process rewrites a capture another is reading)
+// and each process removes its own file at exit.
 struct Fixture {
+  Fixture(const std::string& name, const ZipfTraceConfig& config)
+      : path(TempPath(name + "_" + std::to_string(::getpid()) + ".pcap")),
+        trace(SynthesizeCapture(config, path, CaptureSynthOptions{})),
+        oracle(trace) {}
+  ~Fixture() { std::remove(path.c_str()); }
+
   std::string path;
   Trace trace;
   Oracle oracle;
 };
 
 const Fixture& CampusCapture() {
-  static const Fixture* fixture = [] {
-    auto* f = new Fixture;
-    f->path = TempPath("serve_protocol_campus.pcap");
-    f->trace = SynthesizeCapture(CampusConfig(5000, 11), f->path, CaptureSynthOptions{});
-    f->oracle.AddTrace(f->trace);
-    return f;
-  }();
-  return *fixture;
+  static const Fixture fixture("serve_protocol_campus", CampusConfig(5000, 11));
+  return fixture;
 }
 
 std::vector<std::string> Lines(const std::string& response) {

@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -32,6 +33,10 @@
 namespace hk {
 namespace {
 
+#ifndef HK_TEST_DATA_DIR
+#define HK_TEST_DATA_DIR "tests/data"
+#endif
+
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
@@ -53,7 +58,17 @@ ServeOptions OptionsWithCheckpoint(const std::string& ckpt) {
   return options;
 }
 
+// A capture synthesized once per process, with its exact oracle. ctest
+// runs each test case as its own process, several at once, so the file
+// name carries the pid (no process rewrites a capture another is reading)
+// and each process removes its own file at exit.
 struct Fixture {
+  Fixture(const std::string& name, const ZipfTraceConfig& config)
+      : path(TempPath(name + "_" + std::to_string(::getpid()) + ".pcap")),
+        trace(SynthesizeCapture(config, path, CaptureSynthOptions{})),
+        oracle(trace) {}
+  ~Fixture() { std::remove(path.c_str()); }
+
   std::string path;
   Trace trace;
   Oracle oracle;
@@ -63,14 +78,8 @@ struct Fixture {
 // checkpoint usually lands mid-stream; every assertion also holds when it
 // lands after EOF).
 const Fixture& Capture() {
-  static const Fixture* fixture = [] {
-    auto* f = new Fixture;
-    f->path = TempPath("serve_recovery.pcap");
-    f->trace = SynthesizeCapture(CampusConfig(120000, 9), f->path, CaptureSynthOptions{});
-    f->oracle.AddTrace(f->trace);
-    return f;
-  }();
-  return *fixture;
+  static const Fixture fixture("serve_recovery", CampusConfig(120000, 9));
+  return fixture;
 }
 
 // Deterministic reference: Space-Saving has no randomized transitions, so
@@ -377,6 +386,78 @@ TEST(ServeRecovery, NonReplayableSocketSourceLosesAtMostTheTailAfterTheCut) {
     want += line;
   }
   EXPECT_EQ(got.substr(0, want.size()), want);
+  std::remove(ckpt.c_str());
+}
+
+TEST(ServeCheckpointRace, EveryCheckpointLoadsAndRecoversWhileInstancesChurn) {
+  // Checkpoints save each instance under its own lock only, with map_mu_
+  // released. Race that against a thread that creates, attaches and drops
+  // a scratch instance (Drop must never free an instance a checkpoint is
+  // saving) and a thread querying a long-lived one. Every file written must
+  // load, and recover into a daemon that holds the same instances. The
+  // long-lived instance is large and sorts first, so each checkpoint holds
+  // the scratch instance's pointer for a whole SaveState before saving it,
+  // while the scratch instance, fed the small committed fixture, churns
+  // many times over.
+  const Fixture& fx = Capture();
+  const std::string small = std::string(HK_TEST_DATA_DIR) + "/fixture_campus.pcap";
+  const std::string ckpt = TempPath("reco_race_" + std::to_string(::getpid()) + ".hk");
+  std::remove(ckpt.c_str());
+  ServeCore core(OptionsWithCheckpoint(ckpt));
+  ASSERT_EQ(core.Execute("CREATE live HK-Minimum:mem=4MB"), "OK created live\n");
+  ASSERT_EQ(core.Execute("ATTACH live " + fx.path), "OK attached live\n");
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> churn_errors{0};
+  std::atomic<int> query_errors{0};
+  std::thread churn([&] {
+    while (!stop.load()) {
+      std::string replies = core.Execute("CREATE scratch Sharded:n=2,threads=1");
+      replies += core.Execute("ATTACH scratch " + small);
+      replies += core.Execute("DROP scratch");
+      churn_errors += replies.find("ERR") != std::string::npos ? 1 : 0;
+    }
+  });
+  std::thread queries([&] {
+    while (!stop.load()) {
+      std::string replies = core.Execute("TOPK live 10");
+      replies += core.Execute("STATS live");
+      query_errors += replies.find("ERR") != std::string::npos ? 1 : 0;
+    }
+  });
+
+  // At least 15 checkpoints, and more until 3 of them caught the scratch
+  // instance live (a loaded host can starve the churn thread). EXPECT, not
+  // ASSERT, inside the loop: returning early would destroy the running
+  // threads unjoined.
+  size_t saw_scratch = 0;
+  for (int round = 0; (round < 15 || saw_scratch < 3) && round < 300 && !HasFailure(); ++round) {
+    const std::string reply = core.Execute("CHECKPOINT");
+    EXPECT_EQ(reply.rfind("OK checkpoint", 0), 0u) << reply;
+    CheckpointManifest m;
+    std::string err;
+    EXPECT_TRUE(LoadCheckpoint(ckpt, &m, &err)) << err;
+    EXPECT_GE(m.instances.size(), 1u);
+    EXPECT_LE(m.instances.size(), 2u);
+    for (const CheckpointInstance& inst : m.instances) {
+      EXPECT_TRUE(inst.name == "live" || inst.name == "scratch") << inst.name;
+      EXPECT_LE(inst.packets_applied, fx.trace.packets.size()) << inst.name;
+      saw_scratch += inst.name == "scratch" ? 1 : 0;
+    }
+    ServeCore revived(OptionsWithCheckpoint(ckpt));
+    size_t recovered = 0;
+    EXPECT_TRUE(revived.Recover(&recovered, &err)) << err;
+    EXPECT_EQ(recovered, m.instances.size());
+    for (const CheckpointInstance& inst : m.instances) {
+      EXPECT_GE(revived.PacketsApplied(inst.name), inst.packets_applied) << inst.name;
+    }
+  }
+  stop.store(true);
+  churn.join();
+  queries.join();
+  EXPECT_EQ(churn_errors.load(), 0);
+  EXPECT_EQ(query_errors.load(), 0);
+  EXPECT_GE(saw_scratch, 3u) << "the race was never exercised";
   std::remove(ckpt.c_str());
 }
 

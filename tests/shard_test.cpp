@@ -301,6 +301,20 @@ TEST(ShardedStressTest, ShutdownWhileDrainingAppliesEverything) {
   }
 }
 
+TEST(ShardedTopKTest, SaveStateRollsBackWhenAnInnerCannotCheckpoint) {
+  // Inner states are written in place: the first shard's blob is already
+  // in `out` when the test double refuses, so the refusal must undo it.
+  uint64_t applied = 0;
+  std::vector<std::unique_ptr<TopKAlgorithm>> inners;
+  inners.push_back(MakeSketch("HK-Minimum", TestDefaults()));
+  inners.push_back(std::make_unique<CountingAlgorithm>(&applied));
+  ShardedTopK sharded(ShardedTopKOptions{}, std::move(inners));
+  const std::vector<uint8_t> prefix = {1, 2, 3};
+  std::vector<uint8_t> out = prefix;
+  EXPECT_FALSE(sharded.SaveState(&out));
+  EXPECT_EQ(out, prefix);
+}
+
 TEST(ShardedStressTest, FlushFromProducerMakesAllInsertsVisible) {
   auto algo = MakeSketch("Sharded:n=8,threads=1,ring=64,inner=SS:mem=128kb", TestDefaults());
   for (int i = 0; i < 5'000; ++i) {
