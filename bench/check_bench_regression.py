@@ -36,13 +36,6 @@ Checks (see ROADMAP "Throughput trajectory", ISSUE 3 and ISSUE 4):
     but exits 0; pass --sharded-hard to enforce once a capable runner
     exists.
 
-  * concurrent (soft for now): in BENCH_micro_concurrent_insert.json, the
-    shared-slab front-end should scale (t=8 >= 3x t=1 with >= 8 free
-    cores) and must beat the 4-shard front-end on the partition-skew duel
-    (skew/concurrent/t/4 >= skew/sharded/n/4 - hash partitioning
-    serializes the elephants; the shared slab spreads them). Soft like
-    the sharded gate (1-core CI runners); --concurrent-hard to enforce.
-
   * pcap (soft): BENCH_micro_pcap_ingest.json against its committed
     baseline - warn when the parse-only or replay throughput drops below
     50% of the recorded run (cross-machine variance, so warn only), and
@@ -88,9 +81,6 @@ Usage:
       [--sharded build/BENCH_micro_sharded_insert.json] \
       [--sharded-baseline bench/results/BENCH_micro_sharded_insert.json] \
       [--sharded-hard] \
-      [--concurrent build/BENCH_micro_concurrent_insert.json] \
-      [--concurrent-baseline bench/results/BENCH_micro_concurrent_insert.json] \
-      [--concurrent-hard] \
       [--serve build/BENCH_micro_serve_ingest.json] \
       [--serve-baseline bench/results/BENCH_micro_serve_ingest.json] \
       [--telemetry build/BENCH_micro_telemetry_overhead.json] \
@@ -106,8 +96,6 @@ TELEMETRY_MIN_RATIO = 0.97
 SIMD_MIN_RATIO = 1.3
 SCALAR_MIN_RATIO = 1.15
 SHARDED_MIN_RATIO = 3.5
-CONCURRENT_MIN_RATIO = 3.0
-SKEW_MIN_RATIO = 1.0
 BASELINE_MIN_FRACTION = 0.5
 REPLAY_TAX_MIN = 2.0
 SERVE_STREAM_MAX_SLOWDOWN = 2.0
@@ -375,38 +363,6 @@ def check_sharded(items, hard):
     return []
 
 
-def check_concurrent(items, hard):
-    """Shared-slab scaling + adversarial partition-skew duel (soft by default)."""
-    failures = []
-    t1 = items.get("concurrent/insert/t/1/real_time") or items.get("concurrent/insert/t/1")
-    t8 = items.get("concurrent/insert/t/8/real_time") or items.get("concurrent/insert/t/8")
-    if t1 is None or t8 is None:
-        print("[concurrent] WARNING: missing t=1 or t=8 data point; scaling not checked")
-    else:
-        ratio = t8 / t1
-        ok = ratio >= CONCURRENT_MIN_RATIO
-        status = "OK" if ok else ("FAIL" if hard else "WARNING (soft)")
-        print(f"[concurrent] t=8 {t8:.3e} vs t=1 {t1:.3e} items/s"
-              f" -> {ratio:.2f}x (target >= {CONCURRENT_MIN_RATIO}x) {status}")
-        if not ok and hard:
-            failures.append(f"concurrent scaling only {ratio:.2f}x at 8 threads")
-    sharded = (items.get("skew/sharded/n/4/real_time") or items.get("skew/sharded/n/4"))
-    shared = (items.get("skew/concurrent/t/4/real_time")
-              or items.get("skew/concurrent/t/4"))
-    if sharded is None or shared is None:
-        print("[concurrent] WARNING: missing skew data points; skew duel not checked")
-    else:
-        ratio = shared / sharded
-        ok = ratio >= SKEW_MIN_RATIO
-        status = "OK" if ok else ("FAIL" if hard else "WARNING (soft)")
-        print(f"[concurrent] skew duel: shared slab {shared:.3e} vs 4-shard"
-              f" {sharded:.3e} items/s -> {ratio:.2f}x"
-              f" (target >= {SKEW_MIN_RATIO}x) {status}")
-        if not ok and hard:
-            failures.append(f"shared slab only {ratio:.2f}x of sharded on the skew trace")
-    return failures
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--batch", required=True, help="fresh BENCH_micro_batch_insert.json")
@@ -444,11 +400,6 @@ def main():
                         help="committed simd baseline JSON to warn against")
     parser.add_argument("--sharded-hard", action="store_true",
                         help="fail (not warn) when the sharded scaling target is missed")
-    parser.add_argument("--concurrent", help="fresh BENCH_micro_concurrent_insert.json")
-    parser.add_argument("--concurrent-baseline",
-                        help="committed concurrent baseline JSON to warn against")
-    parser.add_argument("--concurrent-hard", action="store_true",
-                        help="fail (not warn) when a concurrent target is missed")
     args = parser.parse_args()
 
     failures = check_batch(load_items(args.batch))
@@ -467,11 +418,6 @@ def main():
         failures += check_sharded(load_items(args.sharded), args.sharded_hard)
         if args.sharded_baseline:
             check_baseline(load_items(args.sharded), load_items(args.sharded_baseline))
-    if args.concurrent:
-        failures += check_concurrent(load_items(args.concurrent), args.concurrent_hard)
-        if args.concurrent_baseline:
-            check_baseline(load_items(args.concurrent),
-                           load_items(args.concurrent_baseline))
     if args.pcap:
         check_pcap(load_items(args.pcap),
                    load_items(args.pcap_baseline) if args.pcap_baseline else {})

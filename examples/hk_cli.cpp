@@ -14,11 +14,10 @@
 //
 // `--algo` accepts any sketch registry spec (sketch/registry.h): a name
 // from `hk_cli algos` plus optional key=value overrides, e.g.
-// "HK-Minimum:d=4,b=1.05". The multi-core front-ends ride the same
+// "HK-Minimum:d=4,b=1.05". The multi-core front-end rides the same
 // grammar - "Sharded:n=8,inner=HK-Minimum" partitions the key space over
-// 8 shards ("threads=1" runs them on worker threads), and
-// "Concurrent:threads=4,inner=HK-Minimum" runs 4 inserter threads over one
-// shared slab (README "Concurrency modes" for choosing between them).
+// 8 shards ("threads=1" runs them on worker threads; README "Multi-core:
+// when Sharded pays").
 // --memory-kb/--k/--seed set the spec's context defaults. Reports go
 // through Snapshot(), the consistency-documented query surface.
 //
@@ -117,9 +116,8 @@ int Usage() {
                "           also overrides the key accounting for trace commands\n"
                "  SPEC = NAME[:key=value,...], e.g. \"HK-Minimum:d=4,b=1.05\"\n"
                "         or \"Sharded:n=8,threads=1,inner=HK-Minimum\" (partitioned\n"
-               "         multi-core) or \"Concurrent:threads=4,inner=HK-Minimum\"\n"
-               "         (shared-slab multi-core; inner= swallows the rest of the\n"
-               "         spec, so it goes last)\n");
+               "         multi-core; inner= swallows the rest of the spec, so it\n"
+               "         goes last)\n");
   return 2;
 }
 
@@ -604,10 +602,8 @@ int main(int argc, char** argv) {
     std::printf(
         "\nAny name takes key=value overrides (\"HK-Minimum:d=4,b=1.05\").\n"
         "\"Sharded:n=8,inner=<spec>\" partitions the key space over 8 shards\n"
-        "(threads=1 for worker threads); \"Concurrent:threads=4,inner=<spec>\"\n"
-        "runs 4 inserter threads over one shared slab (robust to skewed\n"
-        "keys). In both, inner= swallows the rest of the spec, so it must\n"
-        "come last.\n");
+        "(threads=1 for worker threads); inner= swallows the rest of the\n"
+        "spec, so it must come last.\n");
     return 0;
   }
   if (opts.command == "generate") {

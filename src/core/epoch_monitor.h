@@ -65,7 +65,7 @@ class EpochMonitor {
   const std::vector<FlowCount>& LastReport() const { return last_report_; }
 
   // Live view of the epoch currently filling. kRelaxed: against a
-  // concurrent algorithm this is the non-stalling mid-stream read; the
+  // threaded algorithm this is the non-draining mid-stream read; the
   // rotation report below stays exact.
   std::vector<FlowCount> CurrentTopK() const {
     return current_->Snapshot({.k = k_, .consistency = ConsistencyLevel::kRelaxed}).flows;

@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "concurrent/concurrent_topk.h"
 #include "ingest/byte_source.h"
 #include "serve/net.h"
 #include "window/windowed_topk.h"
@@ -207,7 +206,6 @@ bool ServeCore::Create(const std::string& name, const std::string& spec, std::st
   inst->name = name;
   inst->spec = spec;
   inst->defaults = options_.defaults;
-  inst->relaxed_capable = dynamic_cast<ConcurrentTopK*>(algo.get()) != nullptr;
   inst->algo = std::move(algo);
   instances_.emplace(name, std::move(inst));
   return true;
@@ -470,7 +468,6 @@ bool ServeCore::Recover(size_t* recovered, std::string* err) {
     inst->name = entry.name;
     inst->spec = entry.spec;
     inst->defaults = defaults;
-    inst->relaxed_capable = dynamic_cast<ConcurrentTopK*>(algo.get()) != nullptr;
     inst->algo = std::move(algo);
     inst->packets_applied = entry.packets_applied;
     Instance* raw = inst.get();
@@ -631,9 +628,10 @@ std::string ServeCore::CmdTopK(const std::vector<std::string>& args) {
       window_suffix = " window=" + std::to_string(window->window_epochs()) +
                       " epoch_packets=" + std::to_string(window->epoch_packets()) +
                       " completed_epochs=" + std::to_string(window->completed_epochs());
-    } else if (relaxed && inst->relaxed_capable) {
-      // The whole point of kRelaxed: answer from the live shared slab
-      // without taking the ingest lock - writers never stall.
+    } else if (relaxed && inst->algo->WorkerThreads() > 0) {
+      // The whole point of kRelaxed: a threaded instance answers from any
+      // thread without the ingest lock, so the query never waits for a
+      // burst in flight or for the rings to drain.
       result = inst->algo->Snapshot(query);
     } else {
       std::lock_guard<std::mutex> inst_lock(inst->mu);

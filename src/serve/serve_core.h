@@ -40,12 +40,13 @@
 // streaming is forced with "stream:" prefix, pipes/sockets always stream.
 //
 // Concurrency: every instance carries its own mutex serializing its
-// ingest thread against queries and checkpoints. A TOPK ... relaxed on a
-// Concurrent-front-end instance bypasses the lock entirely and snapshots
-// the live shared slab (Snapshot(kRelaxed)) - the query answers while the
-// ingest thread keeps inserting, which is the PR 6 API's reason to exist.
-// For every other algorithm "relaxed" degrades to a (brief) lock + exact
-// snapshot, and the response says which consistency was delivered.
+// ingest thread against queries and checkpoints. A TOPK ... relaxed on an
+// instance with worker threads (threaded Sharded) bypasses the lock and
+// takes Snapshot(kRelaxed), which reads each shard between two of its
+// worker's bursts - the query answers while the ingest thread keeps
+// inserting. For every other algorithm "relaxed" degrades to a (brief)
+// lock + exact snapshot, and the response says which consistency was
+// delivered.
 //
 // Crash recovery: WriteCheckpoint() lists the instances under map_mu_ and
 // releases it, then locks each instance in turn and Flush()es it,
@@ -128,7 +129,6 @@ class ServeCore {
     std::string spec;
     SketchDefaults defaults;
     std::unique_ptr<TopKAlgorithm> algo;
-    bool relaxed_capable = false;  // Concurrent front-end: lock-free kRelaxed
 
     // Everything below mu: the algorithm plus the applied-offset pair.
     mutable std::mutex mu;

@@ -38,15 +38,6 @@ ShardedTopK::ShardedTopK(const ShardedTopKOptions& options, const SketchDefaults
   if (inner_head == "Sharded") {
     throw std::invalid_argument("ShardedTopK: inner= must not itself be Sharded");
   }
-  // The concurrent front-end shares one slab across threads; hiding it
-  // behind a partitioner would stack two threading models on one stream.
-  // Pick one: Sharded:n=N for partitioned slabs, Concurrent:threads=N for
-  // a shared one.
-  if (inner_head == "Concurrent") {
-    throw std::invalid_argument(
-        "ShardedTopK: inner= must not be Concurrent (compose one front-end per "
-        "stream; use Sharded:n=N or Concurrent:threads=N, not both)");
-  }
   // Epoch rotation must be stream-global: per-shard rings would rotate on
   // per-shard packet counts, desynchronizing the windows. Window outside,
   // shard inside: "Window:...,inner=Sharded:n=N,inner=...".
@@ -158,11 +149,14 @@ void ShardedTopK::WorkerLoop(size_t shard_index) {
     if (n > 0) {
       // Drain through the inner batch fast path; a run of unit weights
       // takes the software-pipelined unweighted entry point.
-      if (unit_weights) {
-        shard.algo->InsertBatch(std::span<const FlowId>(ids.data(), n));
-      } else {
-        shard.algo->InsertBatch(std::span<const FlowId>(ids.data(), n),
-                                std::span<const uint64_t>(weights.data(), n));
+      {
+        const std::lock_guard<std::mutex> lock(shard.mu);
+        if (unit_weights) {
+          shard.algo->InsertBatch(std::span<const FlowId>(ids.data(), n));
+        } else {
+          shard.algo->InsertBatch(std::span<const FlowId>(ids.data(), n),
+                                  std::span<const uint64_t>(weights.data(), n));
+        }
       }
       shard.queued.fetch_sub(n, std::memory_order_release);
       spins = 0;
@@ -185,6 +179,11 @@ void ShardedTopK::WaitIdle() const {
       Backoff(spins);
     }
   }
+}
+
+std::unique_lock<std::mutex> ShardedTopK::LockShard(const Shard& shard) const {
+  return options_.threaded ? std::unique_lock<std::mutex>(shard.mu)
+                           : std::unique_lock<std::mutex>();
 }
 
 void ShardedTopK::Flush() { WaitIdle(); }
@@ -263,28 +262,37 @@ void ShardedTopK::InsertBatch(std::span<const FlowId> ids, std::span<const uint6
 }
 
 QueryResult ShardedTopK::Snapshot(const QueryOptions& options) {
-  Flush();
+  // A relaxed read skips the drain and takes each shard between two of its
+  // worker's bursts; it touches no producer-side state.
+  const bool relaxed = options_.threaded && options.consistency == ConsistencyLevel::kRelaxed;
+  if (!relaxed) {
+    WaitIdle();
+  }
   std::vector<std::vector<FlowCount>> per_shard;
   per_shard.reserve(shards_.size());
   // Sum of the shards' reports, not the merged size: the union truncates
   // to k but each shard tracks its own candidates.
   size_t tracked = 0;
+  size_t memory = 0;
   for (const auto& shard : shards_) {
+    const auto lock = LockShard(*shard);
     per_shard.push_back(shard->algo->TopK(options.k));
     tracked += per_shard.back().size();
+    memory += shard->algo->MemoryBytes();
   }
   QueryResult result;
   result.flows = MergeTopK(per_shard, options.k);
-  result.consistency = ConsistencyLevel::kExact;
+  result.consistency = relaxed ? ConsistencyLevel::kRelaxed : ConsistencyLevel::kExact;
   result.stats.tracked_flows = tracked;
   result.stats.min_tracked = result.flows.empty() ? 0 : result.flows.back().count;
   result.stats.worker_threads = WorkerThreads();
-  result.stats.memory_bytes = MemoryBytes();
+  result.stats.memory_bytes = memory;
   result.stats.simd_kernel = ActiveSimdKernel();
   return result;
 }
 
 const char* ShardedTopK::ActiveSimdKernel() const {
+  const auto lock = LockShard(*shards_[0]);
   return shards_[0]->algo->ActiveSimdKernel();
 }
 
@@ -293,6 +301,7 @@ std::vector<FlowCount> ShardedTopK::TopK(size_t k) const {
   std::vector<std::vector<FlowCount>> per_shard;
   per_shard.reserve(shards_.size());
   for (const auto& shard : shards_) {
+    const auto lock = LockShard(*shard);
     per_shard.push_back(shard->algo->TopK(k));
   }
   return MergeTopK(per_shard, k);
@@ -300,7 +309,9 @@ std::vector<FlowCount> ShardedTopK::TopK(size_t k) const {
 
 uint64_t ShardedTopK::EstimateSize(FlowId id) const {
   WaitIdle();
-  return shards_[partitioner_.ShardOf(id)]->algo->EstimateSize(id);
+  const Shard& shard = *shards_[partitioner_.ShardOf(id)];
+  const auto lock = LockShard(shard);
+  return shard.algo->EstimateSize(id);
 }
 
 std::string ShardedTopK::name() const {
@@ -317,6 +328,7 @@ std::string ShardedTopK::name() const {
   }
   // The greedy key comes last (registry grammar): the inner name is itself
   // a full spec and may contain ':' and ','.
+  const auto lock = LockShard(*shards_[0]);
   spec += ",inner=" + shards_[0]->algo->name();
   return spec;
 }
@@ -328,6 +340,7 @@ size_t ShardedTopK::MemoryBytes() const {
   WaitIdle();
   size_t total = 0;
   for (const auto& shard : shards_) {
+    const auto lock = LockShard(*shard);
     total += shard->algo->MemoryBytes();
   }
   return total;
@@ -341,6 +354,7 @@ bool ShardedTopK::SaveState(std::vector<uint8_t>* out) const {
   ByteAppend(*out, static_cast<uint64_t>(shards_.size()));
   for (const auto& shard : shards_) {
     const size_t blob = ByteBeginBlob(*out);
+    const auto lock = LockShard(*shard);
     if (!shard->algo->SaveState(out)) {
       out->resize(start);
       return false;
@@ -369,6 +383,7 @@ bool ShardedTopK::LoadState(const uint8_t* data, size_t size) {
     return false;
   }
   for (size_t i = 0; i < shards_.size(); ++i) {
+    const auto lock = LockShard(*shards_[i]);
     if (!shards_[i]->algo->LoadState(blobs[i].data(), blobs[i].size())) {
       return false;
     }

@@ -31,19 +31,28 @@
 // owning shard's estimate, unchanged). EstimateSize() asks the owning
 // shard. Flush() blocks until every accepted packet has been applied;
 // destruction drains outstanding packets before joining the workers, so a
-// shutdown mid-burst loses nothing.
+// shutdown mid-burst loses nothing. In threaded mode Snapshot(kRelaxed)
+// skips the drain: it reads each shard between two of its worker's bursts
+// and merges what it finds, so it waits for at most one burst per shard
+// and never for a ring.
 //
-// Thread model (threaded mode): the insert API and Flush()/TopK()/
-// EstimateSize() must be called from one thread at a time (the producer);
-// the N workers are internal. Cross-thread visibility is established by
-// the per-shard queued counters (release on the worker's drain, acquire in
-// WaitIdle), so post-Flush() queries read fully published sketch state.
+// Thread model (threaded mode): the insert API, Flush() and the quiesced
+// queries (TopK/EstimateSize/Snapshot(kExact)/SaveState) must be called
+// from one thread at a time (the producer, or callers sharing its lock);
+// the N workers are internal. Snapshot(kRelaxed) alone may be called from
+// any thread while the producer inserts. Each shard's mutex guards its
+// algorithm: the worker holds it while it applies a drained burst, and
+// every reader holds it while it reads. Cross-thread visibility for the
+// quiesced queries is established by the per-shard queued counters
+// (release on the worker's drain, acquire in WaitIdle), so post-Flush()
+// queries read fully published sketch state.
 #ifndef HK_SHARD_SHARDED_TOPK_H_
 #define HK_SHARD_SHARDED_TOPK_H_
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <thread>
@@ -104,11 +113,13 @@ class ShardedTopK : public TopKAlgorithm {
   // synchronous mode).
   void Flush() override;
 
-  // Always delivers kExact, whatever is requested: shards share no state,
-  // so the only way to read them is to drain the rings first - there is no
-  // cheaper relaxed view to offer. stats.min_tracked is the merged report's
-  // smallest estimate (the global admission threshold is per-shard, so no
-  // single nmin exists).
+  // kExact drains the rings first. kRelaxed on a threaded instance does
+  // not: each shard's part is an exact view of a prefix of that shard's
+  // stream (the bursts its worker has applied), shards may be at different
+  // prefixes, and no flow appears twice. Synchronous instances always
+  // deliver kExact. stats.min_tracked is the merged report's smallest
+  // estimate (the global admission threshold is per-shard, so no single
+  // nmin exists).
   QueryResult Snapshot(const QueryOptions& options = {}) override;
 
   std::vector<FlowCount> TopK(size_t k) const override;
@@ -132,7 +143,8 @@ class ShardedTopK : public TopKAlgorithm {
 
   // The shard algorithms, for tests and for pipelines that feed shards
   // from their own threads (one external thread per shard is safe: shards
-  // share no state).
+  // share no state). Unsynchronized: never use them on a threaded instance
+  // while its workers or a relaxed reader may touch the same shard.
   TopKAlgorithm& shard(size_t i) { return *shards_[i]->algo; }
   const TopKAlgorithm& shard(size_t i) const { return *shards_[i]->algo; }
 
@@ -145,6 +157,9 @@ class ShardedTopK : public TopKAlgorithm {
   struct Shard {
     std::unique_ptr<TopKAlgorithm> algo;
     std::unique_ptr<SpscRing<Packet>> ring;  // threaded mode only
+    // Threaded mode: guards `algo`. The worker holds it for a whole drained
+    // burst, so a reader sees the shard between bursts, never mid-burst.
+    mutable std::mutex mu;
     // Producer-side scatter buffers (reused across batches). Declared
     // before `queued` so their frequently-written vector headers stay off
     // its cache line (the counter must not be false-shared).
@@ -164,6 +179,8 @@ class ShardedTopK : public TopKAlgorithm {
   void PushRun(Shard& shard, std::span<const FlowId> ids, const uint64_t* weights);
   void WorkerLoop(size_t shard_index);
   void WaitIdle() const;
+  // The shard's lock in threaded mode; an empty (unlocked) lock otherwise.
+  std::unique_lock<std::mutex> LockShard(const Shard& shard) const;
   // Shared constructor tail: wrap `inners` into shards, then spin up the
   // rings and workers when threaded.
   void InitShards(std::vector<std::unique_ptr<TopKAlgorithm>> inners);

@@ -26,7 +26,6 @@ HK_PIN_SKETCHES(ColdFilter)
 HK_PIN_SKETCHES(CounterTree)
 HK_PIN_SKETCHES(HeavyGuardian)
 HK_PIN_SKETCHES(ShardedTopK)
-HK_PIN_SKETCHES(ConcurrentTopK)
 HK_PIN_SKETCHES(WindowedTopK)
 #undef HK_PIN_SKETCHES
 
@@ -57,7 +56,6 @@ void EnsureRegistered() {
     HkRegisterSketches_CounterTree();
     HkRegisterSketches_HeavyGuardian();
     HkRegisterSketches_ShardedTopK();
-    HkRegisterSketches_ConcurrentTopK();
     HkRegisterSketches_WindowedTopK();
   });
 }

@@ -55,20 +55,20 @@ namespace hk {
 //   kExact   - the report reflects every packet accepted before the call,
 //              as if the stream were quiesced: Flush() semantics, then a
 //              stable read. Synchronous algorithms always deliver this.
-//   kRelaxed - the report was taken while inserts may still be in flight
-//              (concurrent/ shared-slab mode). Guarantees: every value read
-//              is a whole word (per-word-atomic loads - no torn counters),
-//              every reported estimate is a monotone lower bound of some
-//              state the flow's counter passed through, and no flow appears
-//              twice. No cross-flow ordering: two flows' counts may reflect
-//              different prefixes of the stream.
+//   kRelaxed - the report was taken while inserts may still be in flight,
+//              without waiting for them. An algorithm with WorkerThreads()
+//              > 0 answers Snapshot(kRelaxed) from any thread while its
+//              producer inserts (today: threaded Sharded). Each shard's
+//              part of the report is an exact view of a prefix of that
+//              shard's stream; different shards may be at different
+//              prefixes, and no flow appears twice.
 enum class ConsistencyLevel { kExact, kRelaxed };
 
 // What to ask of Snapshot().
 struct QueryOptions {
   size_t k = 100;
   // The *requested* consistency. Asking for kExact quiesces the stream
-  // first (Flush); asking for kRelaxed lets a concurrent implementation
+  // first (Flush); asking for kRelaxed lets a threaded implementation
   // answer without waiting for its workers. An implementation may deliver
   // a stronger level than requested (QueryResult::consistency says which).
   ConsistencyLevel consistency = ConsistencyLevel::kExact;
@@ -129,22 +129,20 @@ class TopKAlgorithm {
   //     no-op.
   //   * The sharded front-end (shard/sharded_topk.h) waits until its worker
   //     threads have drained all queued packets.
-  //   * The concurrent shared-slab mode (concurrent/concurrent_topk.h)
-  //     drains its rings, then issues a seq_cst fence so every slab and
-  //     candidate-store word written by the workers is published.
   //
-  // After Flush() returns (and absent further inserts), Snapshot() always
-  // delivers ConsistencyLevel::kExact, whatever was requested. Quiesced
-  // queries (TopK/EstimateSize) behave as if Flush() ran first, so calling
-  // it explicitly is only needed to bound *when* the work happens (e.g.
-  // inside a timed region) or to upgrade a later Snapshot to kExact.
+  // After Flush() returns (and absent further inserts), every Snapshot()
+  // reports the flows a kExact one would, whatever was requested.
+  // Quiesced queries (TopK/EstimateSize) behave as if Flush() ran first, so
+  // calling it explicitly is only needed to bound *when* the work happens
+  // (e.g. inside a timed region) or to make a later relaxed Snapshot see
+  // every packet.
   virtual void Flush() {}
 
   // Point-in-time top-k view with documented consistency. This is the
   // preferred query surface: it states what the numbers mean while inserts
   // may be racing (QueryResult::consistency) instead of leaving it to
   // convention. The default wraps Flush() + TopK(), which is exact for
-  // every synchronous algorithm; Sharded and Concurrent override it.
+  // every synchronous algorithm; Sharded and Window override it.
   virtual QueryResult Snapshot(const QueryOptions& options = {}) {
     Flush();
     QueryResult result;
@@ -167,7 +165,8 @@ class TopKAlgorithm {
   // Internal worker threads this instance runs (0 for synchronous
   // algorithms; a threaded sharded front-end reports its shard count).
   // Hosts that budget cores (ovs/pipeline.h's hardware clamp) ask this
-  // instead of being told out of band.
+  // instead of being told out of band. Non-zero also promises the
+  // any-thread Snapshot(kRelaxed) of ConsistencyLevel above.
   virtual size_t WorkerThreads() const { return 0; }
 
   // The k largest tracked flows with their estimated sizes,
@@ -175,9 +174,9 @@ class TopKAlgorithm {
   //
   // Legacy quiesced accessor. Calling it mid-stream - while inserts may be
   // in flight on other threads - is deprecated: it behaves as if Flush()
-  // ran first, which silently serializes a concurrent pipeline. Prefer
+  // ran first, which silently serializes a threaded pipeline. Prefer
   // Snapshot(), which makes the consistency of the answer explicit (and
-  // can answer kRelaxed without stalling the writers).
+  // can answer kRelaxed without draining the workers).
   virtual std::vector<FlowCount> TopK(size_t k) const = 0;
 
   // Point estimate of a single flow's size (0 = reported as a mouse flow /

@@ -24,11 +24,6 @@
 // identical up to those tie-breaks (the differential harness holds across
 // the swap, and same-seed runs of the same store remain bit-deterministic).
 //
-// The multi-writer variant of this design - atomic slots, striped raise
-// locks, the same lazy root re-sync - is ConcurrentTopKStore
-// (src/concurrent/concurrent_store.h), used by the shared-slab
-// Concurrent: front-end. This store stays the single-thread default.
-//
 // Find()/Raise() expose the compare-only fast path: one open-addressing
 // lookup (FlowSlotMap below) yields the slot pointer, and Raise writes
 // through it, flagging the root dirty only when the raised flow *is* the
@@ -232,7 +227,7 @@ class LazyTopKStore {
   mutable bool root_stale_ = false;
   FlowSlotMap values_;
 
-  // store="lazy" series (the concurrent store reports store="concurrent").
+  // store="lazy" series.
   telemetry::Counter* tm_admissions_;
   telemetry::Counter* tm_evictions_;
   telemetry::Counter* tm_root_resyncs_;

@@ -37,12 +37,12 @@
 //
 // Composition rules (tested in window_test.cpp):
 //   * inner may be any registered spec with WorkerThreads() == 0 -
-//     including synchronous Sharded. Threaded front-ends (Sharded:threads=1,
-//     Concurrent) are refused: a ring would keep (W-1) * threads idle
-//     workers alive for slots that can never receive another packet.
+//     including synchronous Sharded. Threaded Sharded (threads=1) is
+//     refused: a ring would keep (W-1) * threads idle workers alive for
+//     slots that can never receive another packet.
 //   * Window inside Window is refused (one ring per stream; nested rings
 //     have no coherent rotation order).
-//   * Window as the inner of Sharded/Concurrent is refused over there:
+//   * Window as the inner of Sharded is refused over there:
 //     epoch rotation must be stream-global, and per-shard rings would
 //     rotate on per-shard packet counts, desynchronizing the windows.
 //

@@ -199,9 +199,7 @@ INSTANTIATE_TEST_SUITE_P(CollisionFree, HkNoOverestimateSweep,
                          ::testing::Values("HK-Basic:fp=32", "HK-Parallel:fp=32",
                                            "HK-Minimum:fp=32",
                                            "Sharded:n=4,inner=HK-Minimum:fp=32",
-                                           "Sharded:n=4,threads=1,inner=HK-Parallel:fp=32",
-                                           "Concurrent:threads=1,inner=HK-Minimum:fp=32",
-                                           "Concurrent:threads=4,inner=HK-Parallel:fp=32"),
+                                           "Sharded:n=4,threads=1,inner=HK-Parallel:fp=32"),
                          [](const auto& info) { return std::to_string(info.index); });
 
 // Sharded-vs-single differential: the documented merge semantics

@@ -195,7 +195,7 @@ TEST(IngestReplayTest, SnapshotReportRidesTheReplay) {
   // snapshot_k makes the replayer hand back the end-of-stream report
   // itself: the Snapshot quiesce replaces the bare Flush, so a threaded
   // consumer's report is exact and matches a post-hoc quiesced TopK().
-  auto algo = MakeSketch("Concurrent:threads=2,inner=HK-Minimum", CampusDefaults());
+  auto algo = MakeSketch("Sharded:n=2,threads=1,inner=HK-Minimum", CampusDefaults());
   PcapReader reader(PcapKeyPolicy::kFiveTuple);
   ASSERT_TRUE(reader.Open(CampusFixture())) << reader.error();
   ReplayOptions options;

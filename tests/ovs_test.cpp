@@ -143,7 +143,7 @@ TEST(PipelineTest, AlgorithmConsumerSeesEveryPacket) {
 TEST(PipelineTest, SnapshotReportsCollectedPerPipeline) {
   // snapshot_k turns the run into measurement + report: one kExact
   // QueryResult per measuring pipeline, taken off the clock after the
-  // consumers Flush()ed. A shared-slab Concurrent consumer exercises the
+  // consumers Flush()ed. A threaded Sharded consumer exercises the
   // quiesce path end to end (producer -> ring -> scatter -> worker).
   const auto packets = MakeWirePackets(20000, 500, 1.1, 11);
   SketchDefaults defaults;
@@ -151,7 +151,7 @@ TEST(PipelineTest, SnapshotReportsCollectedPerPipeline) {
   defaults.k = 50;
   defaults.key_kind = KeyKind::kFiveTuple13B;
   defaults.seed = 5;
-  auto algo = MakeSketch("Concurrent:threads=2,inner=HK-Minimum", defaults);
+  auto algo = MakeSketch("Sharded:n=2,threads=1,inner=HK-Minimum", defaults);
   PipelineConfig config;
   config.num_pipelines = 1;
   config.snapshot_k = 10;

@@ -167,14 +167,16 @@ TEST(ServeProtocol, AttachErrors) {
   core.DrainIngest();
 }
 
-TEST(ServeProtocol, RelaxedTopKOnConcurrentInstance) {
+TEST(ServeProtocol, RelaxedTopKOnThreadedShardedInstance) {
   const Fixture& fx = CampusCapture();
   ServeOptions options = SmallOptions();
   options.defaults.memory_bytes = 64 * 1024;
   ServeCore core(options);
-  ASSERT_EQ(core.Execute("CREATE edge Concurrent:inner=HK-Basic"), "OK created edge\n");
+  ASSERT_EQ(core.Execute("CREATE edge Sharded:n=2,threads=1,inner=HK-Basic"),
+            "OK created edge\n");
   ASSERT_EQ(core.Execute("ATTACH edge " + fx.path), "OK attached edge\n");
-  // Relaxed queries answer while ingest may still be running - and say so.
+  // Relaxed queries answer while ingest may still be running, without the
+  // ingest lock or a drain - and say so.
   const auto mid = Lines(core.Execute("TOPK edge 5 relaxed"));
   ASSERT_FALSE(mid.empty());
   EXPECT_EQ(mid.back().rfind("END consistency=relaxed", 0), 0u) << mid.back();

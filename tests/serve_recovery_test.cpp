@@ -283,6 +283,37 @@ TEST(ServeRecovery, TornManifestIsRejectedNotHalfLoaded) {
   std::remove(ckpt.c_str());
 }
 
+TEST(ServeRecovery, CheckpointNamingAnUnknownSketchIsRefusedAndKept) {
+  // A checkpoint written by an older build may name a sketch this build
+  // no longer registers (the shared-slab Concurrent front-end). Recovery
+  // must refuse it by instance name and leave the file as it was.
+  const std::string ckpt = TempPath("reco_unknown_spec.hk");
+  CheckpointManifest manifest;
+  CheckpointInstance edge;
+  edge.name = "edge";
+  edge.spec = "Concurrent:threads=2,inner=HK-Minimum";
+  edge.state = {1, 2, 3, 4};
+  manifest.instances.push_back(edge);
+  std::string err;
+  ASSERT_TRUE(WriteCheckpointAtomic(ckpt, manifest, &err)) << err;
+  const auto read_bytes = [&ckpt] {
+    std::ifstream in(ckpt, std::ios::binary);
+    return std::vector<char>(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  };
+  const std::vector<char> before = read_bytes();
+  ASSERT_FALSE(before.empty());
+
+  ServeCore revived(OptionsWithCheckpoint(ckpt));
+  size_t recovered = 0;
+  EXPECT_FALSE(revived.Recover(&recovered, &err));
+  EXPECT_NE(err.find("instance 'edge'"), std::string::npos) << err;
+  EXPECT_NE(err.find("unknown sketch 'Concurrent'"), std::string::npos) << err;
+  EXPECT_EQ(recovered, 0u);
+  EXPECT_TRUE(revived.InstanceNames().empty());
+  EXPECT_EQ(read_bytes(), before);
+  std::remove(ckpt.c_str());
+}
+
 TEST(ServeRecovery, MissingCheckpointIsAFreshStart) {
   ServeCore core(OptionsWithCheckpoint(TempPath("reco_never_written.hk")));
   size_t recovered = 99;
@@ -466,7 +497,8 @@ TEST(ServeRecovery, QueriesStayCorrectWhileIngestRuns) {
   ServeOptions options = OptionsWithCheckpoint(TempPath("reco_live.hk"));
   options.defaults.memory_bytes = 64 * 1024;
   ServeCore core(options);
-  ASSERT_EQ(core.Execute("CREATE live Concurrent:inner=HK-Basic"), "OK created live\n");
+  ASSERT_EQ(core.Execute("CREATE live Sharded:n=2,threads=1,inner=HK-Basic"),
+            "OK created live\n");
   ASSERT_EQ(core.Execute("ATTACH live " + fx.path), "OK attached live\n");
 
   // While the ingest thread inserts, relaxed snapshots must stay

@@ -69,9 +69,9 @@ query "CHECKPOINT" | grep -q "^OK checkpoint "
 [ -f "$CKPT" ] || { echo "checkpoint file not written"; exit 1; }
 
 echo "== METRICS: exposition sanity, layer coverage, monotone counters =="
-# Concurrent and Window instances so those layers' series register too
-# (constructors register eagerly - the names show before any traffic).
-query "CREATE conc Concurrent:threads=2,inner=HK-Minimum" | grep -qx "OK created conc"
+# Threaded Sharded and Window instances so those layers' series register
+# too (constructors register eagerly - the names show before any traffic).
+query "CREATE shard Sharded:n=2,threads=1,inner=HK-Minimum" | grep -qx "OK created shard"
 query "CREATE win Window:w=4,epoch=2000,inner=HK-Minimum" | grep -qx "OK created win"
 
 "$HK_CLI" metrics --port "$PORT" > "$WORK/metrics1.txt"
@@ -83,8 +83,8 @@ fi
 NAMES="$(grep -c '^# TYPE hk_' "$WORK/metrics1.txt")"
 [ "$NAMES" -ge 15 ] || { echo "only $NAMES metric names (need >= 15)"; exit 1; }
 # Every layer contributes at least one name: sketch core, summary stores,
-# the shared-slab front-end, the worker rings, windowing, ingest, serve.
-for prefix in hk_core_ hk_store_ hk_concurrent_ hk_ring_ hk_window_ hk_ingest_ hk_serve_; do
+# the worker rings, windowing, ingest, serve.
+for prefix in hk_core_ hk_store_ hk_ring_ hk_window_ hk_ingest_ hk_serve_; do
   grep -q "^# TYPE $prefix" "$WORK/metrics1.txt" || {
     echo "no $prefix* metric registered"; exit 1; }
 done
@@ -97,10 +97,10 @@ fi
 
 # Second scrape after more ingest traffic: every *_total counter present
 # in both scrapes must be monotone, and the campus packet counter must
-# have moved (the conc instance replays the same fixture).
-query "ATTACH conc $FIXTURE key=5tuple" | grep -qx "OK attached conc"
+# have moved (the shard instance replays the same fixture).
+query "ATTACH shard $FIXTURE key=5tuple" | grep -qx "OK attached shard"
 for _ in $(seq 1 100); do
-  if query "STATS conc" | grep -q "STAT ingest_done 1"; then break; fi
+  if query "STATS shard" | grep -q "STAT ingest_done 1"; then break; fi
   sleep 0.1
 done
 "$HK_CLI" metrics --port "$PORT" > "$WORK/metrics2.txt"
@@ -109,9 +109,9 @@ awk 'NR==FNR { if ($1 ~ /_total(\{|$)/ && $1 !~ /^#/) before[$1] = $2; next }
        print "counter went backwards: " $1 " " before[$1] " -> " $2; bad = 1 }
      END { exit bad }' "$WORK/metrics1.txt" "$WORK/metrics2.txt" || {
   echo "counters not monotone across scrapes"; exit 1; }
-P1="$(sed -n 's/^hk_ingest_packets_total{instance="conc"} //p' "$WORK/metrics2.txt")"
-[ -n "$P1" ] && [ "$P1" -gt 0 ] || { echo "conc ingest counter never moved"; exit 1; }
-query "DROP conc" | grep -qx "OK dropped conc"
+P1="$(sed -n 's/^hk_ingest_packets_total{instance="shard"} //p' "$WORK/metrics2.txt")"
+[ -n "$P1" ] && [ "$P1" -gt 0 ] || { echo "shard ingest counter never moved"; exit 1; }
+query "DROP shard" | grep -qx "OK dropped shard"
 query "DROP win" | grep -qx "OK dropped win"
 # A periodic checkpoint may have captured the extra instances; rewrite the
 # manifest so the recovery section below still sees exactly one.

@@ -1,15 +1,23 @@
 // Concurrency and determinism tests for the sharded pipeline (src/shard/):
 // partition stability, merge semantics, producer/consumer stress with
-// random burst sizes, shutdown while rings are still draining, and the
+// random burst sizes, shutdown while rings are still draining, the
 // determinism contract - same seed and shard count means bit-identical
-// results across execution modes, burst shapes, and runs (the TSan CI job
-// runs this suite with full race detection).
+// results across execution modes, burst shapes, and runs - and the
+// Snapshot() contract, including relaxed reads taken from other threads
+// while the producer inserts (the TSan CI job runs this suite with full
+// race detection).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <span>
 #include <string>
+#include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/random.h"
@@ -323,6 +331,199 @@ TEST(ShardedStressTest, FlushFromProducerMakesAllInsertsVisible) {
   }
   algo->Flush();
   EXPECT_EQ(algo->EstimateSize(42), 5'000u);
+}
+
+// --- Snapshot contract ----------------------------------------------------
+
+TEST(SnapshotContractTest, DefaultSnapshotWrapsFlushedTopK) {
+  // Synchronous algorithms inherit the base implementation: always exact,
+  // flows identical to TopK(k), stats populated.
+  for (const std::string spec : {"HK-Minimum", "SS", "CM"}) {
+    auto algo = MakeSketch(spec, TestDefaults());
+    algo->InsertBatch(ZipfPackets(20'000, 11));
+    const QueryResult result = algo->Snapshot({.k = 20});
+    EXPECT_EQ(result.consistency, ConsistencyLevel::kExact) << spec;
+    EXPECT_EQ(result.flows, algo->TopK(20)) << spec;
+    EXPECT_EQ(result.stats.tracked_flows, result.flows.size()) << spec;
+    EXPECT_EQ(result.stats.min_tracked, result.flows.back().count) << spec;
+    EXPECT_EQ(result.stats.worker_threads, 0u) << spec;
+    EXPECT_EQ(result.stats.memory_bytes, algo->MemoryBytes()) << spec;
+  }
+}
+
+TEST(SnapshotContractTest, ShardedSnapshotIsAlwaysExact) {
+  // Synchronous Sharded has no workers to overtake: even a relaxed request
+  // reads every applied packet, and the label says so.
+  auto algo = MakeSketch("Sharded:n=4,inner=HK-Minimum", TestDefaults());
+  algo->InsertBatch(ZipfPackets(50'000, 13));
+  const QueryResult relaxed = algo->Snapshot({.k = 30, .consistency = ConsistencyLevel::kRelaxed});
+  EXPECT_EQ(relaxed.consistency, ConsistencyLevel::kExact);
+  EXPECT_EQ(relaxed.flows, algo->TopK(30));
+  EXPECT_EQ(relaxed.stats.worker_threads, 0u);
+  EXPECT_EQ(relaxed.stats.memory_bytes, algo->MemoryBytes());
+  // Each of the 4 shards tracks its own candidates, so the union exceeds
+  // any single report.
+  EXPECT_GE(relaxed.stats.tracked_flows, relaxed.flows.size());
+}
+
+TEST(SnapshotContractTest, SnapshotAfterFlushIsExactWhateverWasRequested) {
+  auto algo = MakeSketch("Sharded:n=2,threads=1,inner=HK-Minimum", TestDefaults());
+  algo->InsertBatch(ZipfPackets(40'000, 23));
+  algo->Flush();
+  // Quiesced and no producer: the relaxed read must equal the exact one
+  // (the label stays honest about the path taken - the flows cannot
+  // differ).
+  const QueryResult relaxed = algo->Snapshot({.k = 25, .consistency = ConsistencyLevel::kRelaxed});
+  const QueryResult exact = algo->Snapshot({.k = 25});
+  EXPECT_EQ(relaxed.consistency, ConsistencyLevel::kRelaxed);
+  EXPECT_EQ(relaxed.flows, exact.flows);
+  EXPECT_EQ(relaxed.stats.tracked_flows, exact.stats.tracked_flows);
+  EXPECT_EQ(relaxed.stats.memory_bytes, exact.stats.memory_bytes);
+}
+
+// --- relaxed reads while the producer inserts ------------------------------
+
+uint64_t TotalCount(const std::vector<FlowCount>& flows) {
+  uint64_t total = 0;
+  for (const auto& fc : flows) {
+    total += fc.count;
+  }
+  return total;
+}
+
+// Forwards to an inner algorithm but sleeps before every batch, so each
+// worker burst lasts long enough for a reader to overtake the drain.
+class SlowBatchAlgorithm : public TopKAlgorithm {
+ public:
+  explicit SlowBatchAlgorithm(std::unique_ptr<TopKAlgorithm> inner) : inner_(std::move(inner)) {}
+
+  using TopKAlgorithm::InsertBatch;
+  void Insert(FlowId id) override { inner_->Insert(id); }
+  void InsertBatch(std::span<const FlowId> ids) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    inner_->InsertBatch(ids);
+  }
+  std::vector<FlowCount> TopK(size_t k) const override { return inner_->TopK(k); }
+  uint64_t EstimateSize(FlowId id) const override { return inner_->EstimateSize(id); }
+  std::string name() const override { return "slow-batch-test-double"; }
+  size_t MemoryBytes() const override { return inner_->MemoryBytes(); }
+
+ private:
+  std::unique_ptr<TopKAlgorithm> inner_;
+};
+
+TEST(ShardedRelaxedReadTest, RelaxedSnapshotDoesNotWaitForTheDrain) {
+  // 4,000 queued packets in 16-packet bursts at ~2 ms a burst keep two
+  // workers busy for 250 ms or more. A relaxed read waits for at most one
+  // burst per shard, so it must answer long before the rings empty.
+  ShardedTopKOptions options;
+  options.threaded = true;
+  options.ring_capacity = 4096;  // the whole stream fits: no back-pressure
+  options.drain_burst = 16;
+  std::vector<std::unique_ptr<TopKAlgorithm>> inners;
+  for (int s = 0; s < 2; ++s) {
+    inners.push_back(
+        std::make_unique<SlowBatchAlgorithm>(MakeSketch("SS:mem=256kb", TestDefaults())));
+  }
+  ShardedTopK algo(options, std::move(inners));
+  std::vector<FlowId> packets;
+  for (FlowId i = 0; i < 4'000; ++i) {
+    packets.push_back(1 + i % 8);  // 8 flows: TopK(k) covers every one
+  }
+  algo.InsertBatch(packets);
+
+  const QueryResult relaxed = algo.Snapshot({.k = 50, .consistency = ConsistencyLevel::kRelaxed});
+  EXPECT_EQ(relaxed.consistency, ConsistencyLevel::kRelaxed);
+  EXPECT_LT(TotalCount(relaxed.flows), packets.size());
+  const QueryResult exact = algo.Snapshot({.k = 50});
+  EXPECT_EQ(exact.consistency, ConsistencyLevel::kExact);
+  EXPECT_EQ(TotalCount(exact.flows), packets.size());
+}
+
+TEST(ShardedRelaxedReadTest, RelaxedReadsDuringInsertsAreWellFormed) {
+  // Serve's shape: the producer and an exact reader share one lock, and a
+  // relaxed reader takes none. Exact inners make every relaxed count
+  // checkable: it never exceeds the final truth, and it never shrinks from
+  // one report to the next (each shard's part is a growing prefix of that
+  // shard's stream).
+  ShardedTopKOptions options;
+  options.num_shards = 4;
+  options.threaded = true;
+  options.ring_capacity = 256;
+  options.drain_burst = 32;
+  options.inner_spec = "SS:mem=256kb";
+  ShardedTopK algo(options, TestDefaults());
+
+  ZipfTraceConfig config;
+  config.num_packets = 200'000;
+  config.num_ranks = 500;
+  config.skew = 1.0;
+  config.seed = 41;
+  const auto packets = MakeZipfTrace(config).packets;
+  Oracle oracle;
+  for (const FlowId id : packets) {
+    oracle.Add(id);
+  }
+  constexpr size_t kRelaxedK = 100;  // below the flow count: the k cap bites
+  constexpr size_t kAllFlows = 1'000;
+
+  std::mutex mu;        // serve's per-instance lock
+  uint64_t pushed = 0;  // guarded by mu
+  std::atomic<bool> done{false};
+  std::thread producer([&] {
+    Rng rng(43);
+    size_t pos = 0;
+    while (pos < packets.size()) {
+      const size_t burst = std::min<size_t>(1 + rng.NextBounded(2048), packets.size() - pos);
+      const std::lock_guard<std::mutex> lock(mu);
+      algo.InsertBatch(std::span<const FlowId>(packets.data() + pos, burst));
+      pos += burst;
+      pushed = pos;
+    }
+    done.store(true, std::memory_order_release);
+  });
+  std::thread exact_reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      {
+        const std::lock_guard<std::mutex> lock(mu);
+        const QueryResult exact = algo.Snapshot({.k = kAllFlows});
+        EXPECT_EQ(exact.consistency, ConsistencyLevel::kExact);
+        EXPECT_EQ(TotalCount(exact.flows), pushed);
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+
+  size_t reports = 0;
+  std::unordered_map<FlowId, uint64_t> previous;
+  bool last = false;
+  while (!last) {
+    last = done.load(std::memory_order_acquire);
+    const QueryResult relaxed =
+        algo.Snapshot({.k = kRelaxedK, .consistency = ConsistencyLevel::kRelaxed});
+    ++reports;
+    EXPECT_EQ(relaxed.consistency, ConsistencyLevel::kRelaxed);
+    EXPECT_LE(relaxed.flows.size(), kRelaxedK);
+    std::unordered_map<FlowId, uint64_t> current;
+    for (size_t i = 0; i < relaxed.flows.size(); ++i) {
+      const FlowCount& fc = relaxed.flows[i];
+      if (i > 0) {
+        const FlowCount& prev = relaxed.flows[i - 1];
+        EXPECT_TRUE(prev.count > fc.count || (prev.count == fc.count && prev.id < fc.id))
+            << "unsorted at rank " << i;
+      }
+      EXPECT_TRUE(current.emplace(fc.id, fc.count).second) << "duplicate flow " << fc.id;
+      EXPECT_LE(fc.count, oracle.Count(fc.id)) << "flow " << fc.id << " above truth";
+      if (const auto it = previous.find(fc.id); it != previous.end()) {
+        EXPECT_GE(fc.count, it->second) << "flow " << fc.id << " went backwards";
+      }
+    }
+    previous = std::move(current);
+    std::this_thread::yield();
+  }
+  producer.join();
+  exact_reader.join();
+  EXPECT_GT(reports, 1u);
 }
 
 }  // namespace

@@ -43,8 +43,6 @@ std::string CaidaFixture() { return std::string(HK_TEST_DATA_DIR) + "/fixture_ca
 
 SimdKernel BestKernel() { return ResolveSimdKernel(SimdMode::kAuto); }
 
-bool HostHasVector() { return BestKernel() != SimdKernel::kScalar; }
-
 std::string BestToken() { return SimdKernelName(BestKernel()); }
 
 // ---------------------------------------------------------------------------
@@ -357,7 +355,7 @@ TEST_P(SimdDifferentialSweep, SyntheticWorkloadsBitIdentical) {
 
 TEST_P(SimdDifferentialSweep, FixtureCapturesBitIdentical) {
   const std::string spec = GetParam();
-  for (const std::string path : {CampusFixture(), CaidaFixture()}) {
+  for (const std::string& path : {CampusFixture(), CaidaFixture()}) {
     for (const bool byte_weighted : {false, true}) {
       auto scalar = MakeSketch(WithSimd(spec, "scalar"), SweepDefaults());
       auto vector = MakeSketch(WithSimd(spec, BestToken()), SweepDefaults());

@@ -27,10 +27,7 @@ const std::vector<std::string>& AllNames() {
       // The sharded front-end must honor the same contracts, in both
       // execution modes (scatter + per-shard batching reorders *work*
       // only; rings + workers must not change observable state either).
-      "Sharded",  "Sharded:n=4,threads=1,ring=128,burst=32",
-      // The shared-slab front-end at threads=1 drains every packet through
-      // one worker in FIFO order - batching must stay invisible there too.
-      "Concurrent:threads=1,ring=128,burst=32,inner=HK-Minimum"};
+      "Sharded",  "Sharded:n=4,threads=1,ring=128,burst=32"};
   return names;
 }
 

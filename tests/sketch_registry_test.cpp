@@ -11,14 +11,14 @@
 namespace hk {
 namespace {
 
-// The paper's contender set plus the library extensions: all 17 public
-// registry names (16 canonical + the "HK" alias).
+// The paper's contender set plus the library extensions: all 16 public
+// registry names (15 canonical + the "HK" alias).
 const std::vector<std::string>& AllNames() {
   static const std::vector<std::string> names = {
       "HK",      "HK-Parallel", "HK-Minimum",  "HK-Basic",      "SS",
       "LC",      "CSS",         "CM",          "CountSketch",   "Frequent",
       "Elastic", "ColdFilter",  "CounterTree", "HeavyGuardian", "Sharded",
-      "Concurrent", "Window"};
+      "Window"};
   return names;
 }
 
@@ -70,7 +70,7 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, RegistrySweep, ::testing::ValuesIn(AllNa
 
 TEST(RegistryTest, RegisteredSketchesAreSortedCanonicalNames) {
   const auto names = RegisteredSketches();
-  EXPECT_EQ(names.size(), 16u);  // aliases ("HK", display names) excluded
+  EXPECT_EQ(names.size(), 15u);  // aliases ("HK", display names) excluded
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
   for (const auto& name : AllNames()) {
     EXPECT_FALSE(ResolveSketchName(name).empty()) << name;

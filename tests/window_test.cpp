@@ -74,14 +74,11 @@ TEST(WindowSpecTest, RejectsDegenerateAndComposedSpecs) {
   EXPECT_THROW(MakeSketch("Window:inner=Window:w=2"), std::invalid_argument);
   // Threaded inners are refused: (W-1)*threads workers would idle on slots
   // that can never receive another packet.
-  EXPECT_THROW(MakeSketch("Window:inner=Concurrent:threads=2,inner=HK-Minimum"),
-               std::invalid_argument);
   EXPECT_THROW(MakeSketch("Window:inner=Sharded:n=2,threads=1,inner=HK-Minimum"),
                std::invalid_argument);
   // The other direction: epoch rotation must be stream-global, so Window
   // cannot sit under a partitioner (per-shard rings would desynchronize).
   EXPECT_THROW(MakeSketch("Sharded:n=2,inner=Window:w=2"), std::invalid_argument);
-  EXPECT_THROW(MakeSketch("Concurrent:threads=2,inner=Window:w=2"), std::invalid_argument);
 }
 
 TEST(WindowSpecTest, SynchronousShardedInnerIsAllowed) {
