@@ -37,9 +37,13 @@
 // length with --bytes - and reports the top-k next to the capture's exact
 // oracle. --key picks the flow definition (Section VI-A): the campus
 // 5-tuple, the CAIDA src/dst pair, or per-source aggregation; the same
-// flag overrides the key accounting for the trace commands.
+// flag overrides the key accounting for the trace commands. --epoch-ms N
+// reports per N-ms capture-time window instead (a one-slot Window ring;
+// --window W keeps W of them and ends with their sliding top-k). Window
+// keeps only synchronous inners, so a threaded --algo is refused there.
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -52,7 +56,6 @@
 #include <vector>
 
 #include "common/algorithms.h"
-#include "core/epoch_monitor.h"
 #include "ingest/pcap_reader.h"
 #include "ingest/trace_replayer.h"
 #include "metrics/accuracy.h"
@@ -103,8 +106,8 @@ int Usage() {
                "  bench    --trace FILE [--algo SPEC] [--memory-kb KB] [--k K]\n"
                "  ingest   --pcap FILE [--algo SPEC] [--key 5tuple|pair|src]\n"
                "           [--bytes] [--epoch-ms N] [--window W] [--memory-kb KB]\n"
-               "           [--k K]   (--window W: sliding top-k over the last W\n"
-               "           capture-time windows of --epoch-ms each)\n"
+               "           [--k K]   (--epoch-ms N: a report per N-ms capture-time\n"
+               "           window; --window W: sliding top-k over the last W)\n"
                "  query    [--host H] [--port N] \"LINE\" [\"LINE\"...]  send protocol\n"
                "           lines to a running hk_serve (default 127.0.0.1:7070)\n"
                "  metrics  [--host H] [--port N] [FILTER]  scrape the daemon's\n"
@@ -292,34 +295,23 @@ int Ingest(const Options& opts) {
     return 1;
   }
 
-  auto make_algo = [&]() {
-    return MakeAlgorithm(opts.algo, opts.memory_kb * 1024, opts.k, ToKeyKind(policy),
-                         opts.seed);
-  };
-  std::unique_ptr<TopKAlgorithm> algo;
-  try {
-    algo = make_algo();
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n(try `hk_cli algos` for the registered names)\n", e.what());
-    return 2;
-  }
-
   ReplayOptions replay_opts;
   replay_opts.byte_weighted = opts.bytes;
   replay_opts.epoch_ns = opts.epoch_ms * 1'000'000ULL;
   const TraceReplayer replayer(replay_opts);
 
-  if (opts.window > 0) {
-    // Sliding mode: a ring of W capture-time windows around --algo. Unlike
-    // the plain --epoch-ms path (independent per-window reports), the ring
-    // keeps the last W windows queryable together, so the final answer is
-    // "top-k over the last W windows of the capture".
+  if (opts.epoch_ms > 0 || opts.window > 0) {
+    // Capture-time windows: a ring of W windows of --epoch-ms each around
+    // --algo, rotated on packet timestamps. --epoch-ms alone is W = 1:
+    // independent per-window reports. Each completed window prints its
+    // head as it closes. No oracle pass here - the windowed mode streams
+    // the capture exactly once.
     if (opts.epoch_ms == 0) {
       std::fprintf(stderr, "--window requires --epoch-ms (the window width)\n");
       return 2;
     }
     WindowedTopKOptions wopts;
-    wopts.window_epochs = opts.window;
+    wopts.window_epochs = std::max<size_t>(opts.window, 1);
     wopts.epoch_packets = WindowedTopK::kNoPacketRotation;  // capture clock only
     wopts.inner_spec = opts.algo;
     SketchDefaults defaults;
@@ -340,22 +332,26 @@ int Ingest(const Options& opts) {
             std::printf("\n");
           });
     } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "%s\n", e.what());
+      std::fprintf(stderr, "%s\n(try `hk_cli algos` for the registered names)\n", e.what());
       return 2;
     }
     std::printf("%s on %s (%s keys, %s, %zu KB, k=%zu)\n", window->name().c_str(),
                 opts.pcap_path.c_str(), PcapKeyPolicyName(policy),
                 opts.bytes ? "byte-weighted" : "packet counts", opts.memory_kb, opts.k);
     const ReplayStats stats = replayer.Replay(reader, *window);
-    const auto top = window->Snapshot({.k = opts.k}).flows;
-    std::printf("sliding top-%zu over the last %zu windows:\n", opts.k,
-                window->window_epochs());
-    for (size_t i = 0; i < top.size() && i < 10; ++i) {
-      std::printf("  %-6zu%-20llx%14llu\n", i + 1,
-                  static_cast<unsigned long long>(top[i].id),
-                  static_cast<unsigned long long>(top[i].count));
+    if (window->window_epochs() == 1) {
+      window->Rotate();  // independent windows: close and report the partial last one
+    } else {
+      // A deeper ring keeps the last W windows queryable together.
+      const auto top = window->Snapshot({.k = opts.k}).flows;
+      std::printf("sliding top-%zu over the last %zu windows:\n", opts.k, window->window_epochs());
+      for (size_t i = 0; i < top.size() && i < 10; ++i) {
+        std::printf("  %-6zu%-20llx%14llu\n", i + 1,
+                    static_cast<unsigned long long>(top[i].id),
+                    static_cast<unsigned long long>(top[i].count));
+      }
     }
-    std::printf("%llu packets, %llu wire bytes, %llu rotations of %llu ms, %.2f Mps\n",
+    std::printf("%llu packets, %llu wire bytes, %llu completed windows of %llu ms, %.2f Mps\n",
                 static_cast<unsigned long long>(stats.packets),
                 static_cast<unsigned long long>(stats.wire_bytes),
                 static_cast<unsigned long long>(window->completed_epochs()),
@@ -364,35 +360,16 @@ int Ingest(const Options& opts) {
     return 0;
   }
 
+  std::unique_ptr<TopKAlgorithm> algo;
+  try {
+    algo = MakeAlgorithm(opts.algo, opts.memory_kb * 1024, opts.k, ToKeyKind(policy), opts.seed);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n(try `hk_cli algos` for the registered names)\n", e.what());
+    return 2;
+  }
   std::printf("%s on %s (%s keys, %s, %zu KB, k=%zu)\n", algo->name().c_str(),
               opts.pcap_path.c_str(), PcapKeyPolicyName(policy),
               opts.bytes ? "byte-weighted" : "packet counts", opts.memory_kb, opts.k);
-
-  if (opts.epoch_ms > 0) {
-    // Capture-time windows: rebuild the algorithm per window, print each
-    // completed window's head as it closes. No oracle pass here - the
-    // windowed mode streams the capture exactly once.
-    EpochMonitor monitor(
-        [&](uint64_t) { return make_algo(); }, UINT64_MAX, opts.k,
-        [&](uint64_t epoch, std::vector<FlowCount> report) {
-          std::printf("  window %-4llu %zu flows tracked, top",
-                      static_cast<unsigned long long>(epoch), report.size());
-          for (size_t i = 0; i < report.size() && i < 3; ++i) {
-            std::printf("  %llx:%llu", static_cast<unsigned long long>(report[i].id),
-                        static_cast<unsigned long long>(report[i].count));
-          }
-          std::printf("\n");
-        });
-    const ReplayStats stats = replayer.Replay(reader, monitor);
-    monitor.Rotate();  // close the final partial window
-    std::printf("%llu packets, %llu wire bytes, %llu windows of %llu ms, %.2f Mps\n",
-                static_cast<unsigned long long>(stats.packets),
-                static_cast<unsigned long long>(stats.wire_bytes),
-                static_cast<unsigned long long>(monitor.completed_epochs()),
-                static_cast<unsigned long long>(opts.epoch_ms),
-                Mps(stats.packets, stats.seconds));
-    return 0;
-  }
 
   // Pass 1: the capture's exact ground truth under this key policy.
   Oracle oracle;

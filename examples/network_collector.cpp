@@ -12,10 +12,10 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/collector.h"
 #include "core/hk_topk.h"
 #include "core/serialization.h"
 #include "metrics/accuracy.h"
+#include "shard/merge.h"
 #include "trace/generators.h"
 #include "trace/oracle.h"
 
@@ -65,7 +65,9 @@ int main() {
   for (const auto& sw : switches) {
     reports.push_back(sw->TopK(2 * kK));
   }
-  const auto combined = CombineReports(reports, kK, CombinePolicy::kSum);
+  // Disjoint views: a flow's network-wide size is the sum of its
+  // per-switch estimates.
+  const auto combined = MergeTopK(reports, kK, MergeMode::kSumById);
   const auto accuracy = EvaluateTopK(combined, oracle, kK);
 
   std::printf("\nnetwork-wide top-%zu (combined from disjoint views):\n", kK);

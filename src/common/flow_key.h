@@ -79,7 +79,7 @@ struct AddrPair {
 };
 
 // Seed of the canonical id hash ("heavykee"). Exposed so batch id
-// derivation (ingest/pcap_reader.h DerivePacketIds) can run the same
+// derivation (PcapReader::NextBatch, ingest/pcap_reader.h) can run the same
 // HashBytes lane-parallel; every Id() above uses exactly this seed.
 inline constexpr uint64_t kFlowIdSeed = 0x68656176796b6565ULL;
 

@@ -1,19 +1,36 @@
-// Lock-free single-producer/single-consumer ring buffer.
+// Lock-free single-producer/single-consumer ring buffer, and the wait
+// strategy both of its users share.
 //
 // Models the shared-memory channel of the paper's OVS deployment (Section
 // VII-A): the modified datapath writes flow IDs into shared memory and the
-// user-space HeavyKeeper process reads them. Power-of-two capacity, acquire/
-// release index synchronization, and cached opposite-side indices so the
-// hot path usually touches only its own cache line.
-#ifndef HK_OVS_SPSC_RING_H_
-#define HK_OVS_SPSC_RING_H_
+// user-space HeavyKeeper process reads them. The same ring feeds each
+// threaded Sharded worker (shard/sharded_topk.h). Power-of-two capacity,
+// acquire/release index synchronization, and cached opposite-side indices
+// so the hot path usually touches only its own cache line.
+#ifndef HK_COMMON_SPSC_RING_H_
+#define HK_COMMON_SPSC_RING_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 namespace hk {
+
+// Wait strategy for a producer facing a full ring or a consumer facing an
+// empty one: stay on the CPU briefly (the other side usually frees a slot
+// or publishes within a few yields), then sleep so an idle or
+// back-pressured thread does not starve whoever holds the work. Reset
+// `spins` to 0 whenever the wait ends in progress.
+inline void Backoff(size_t& spins) {
+  if (++spins < 64) {
+    std::this_thread::yield();
+  } else {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+}
 
 template <typename T>
 class SpscRing {
@@ -75,4 +92,4 @@ class SpscRing {
 
 }  // namespace hk
 
-#endif  // HK_OVS_SPSC_RING_H_
+#endif  // HK_COMMON_SPSC_RING_H_

@@ -37,6 +37,52 @@ uint32_t FoldIpv6(const uint8_t* p) {
   return Be32(p) ^ Be32(p + 4) ^ Be32(p + 8) ^ Be32(p + 12);
 }
 
+// Id derivation for a whole burst: records[i].id becomes exactly what
+// PcapReader::DeriveId would set under `policy` (FiveTuple/AddrPair/SrcOnly
+// Id()), hashed lane-parallel via simd/hash_batch.h where the host allows.
+void DerivePacketIds(PcapKeyPolicy policy, PacketRecord* records, size_t n) {
+  // Pack each record's key bytes into a fixed-stride scratch block (the
+  // layouts below byte-match FiveTuple::Id / AddrPair::Id / SrcOnlyId) and
+  // hash a chunk at a time lane-parallel. The resolved kernel is process-
+  // wide: id derivation has no per-instance spec to carry a mode.
+  static const SimdKernel kernel = ResolveSimdKernel(SimdMode::kAuto);
+  constexpr size_t kChunk = 64;
+  uint8_t keys[kChunk * simd::kHashBatchStride];
+  uint64_t ids[kChunk];
+  size_t key_len = 0;
+  switch (policy) {
+    case PcapKeyPolicy::kFiveTuple:
+      key_len = 13;
+      break;
+    case PcapKeyPolicy::kAddrPair:
+      key_len = 8;
+      break;
+    case PcapKeyPolicy::kSrcOnly:
+      key_len = 4;
+      break;
+  }
+  for (size_t base = 0; base < n; base += kChunk) {
+    const size_t m = std::min(kChunk, n - base);
+    for (size_t i = 0; i < m; ++i) {
+      const FiveTuple& t = records[base + i].tuple;
+      uint8_t* slot = keys + i * simd::kHashBatchStride;
+      std::memcpy(slot, &t.src_ip, 4);
+      if (policy != PcapKeyPolicy::kSrcOnly) {
+        std::memcpy(slot + 4, &t.dst_ip, 4);
+      }
+      if (policy == PcapKeyPolicy::kFiveTuple) {
+        std::memcpy(slot + 8, &t.src_port, 2);
+        std::memcpy(slot + 10, &t.dst_port, 2);
+        slot[12] = t.proto;
+      }
+    }
+    simd::HashBytesBatch(kernel, keys, m, key_len, kFlowIdSeed, ids);
+    for (size_t i = 0; i < m; ++i) {
+      records[base + i].id = ids[i];
+    }
+  }
+}
+
 uint64_t Pow10(uint32_t n) {
   uint64_t v = 1;
   for (uint32_t i = 0; i < n; ++i) {
@@ -292,11 +338,28 @@ uint64_t PcapReader::TicksToNs(const Interface& iface, uint64_t ticks) {
   return ticks / Pow10(iface.tsresol - 9);  // finer than ns: truncate
 }
 
-bool PcapReader::Next(PacketRecord* out) {
+bool PcapReader::NextRecord(PacketRecord* out) {
   if (!ok()) {
     return false;
   }
   return format_ == PcapFormat::kPcap ? NextClassic(out) : NextNg(out);
+}
+
+bool PcapReader::Next(PacketRecord* out) {
+  if (!NextRecord(out)) {
+    return false;
+  }
+  DeriveId(out);
+  return true;
+}
+
+size_t PcapReader::NextBatch(std::span<PacketRecord> out) {
+  size_t n = 0;
+  while (n < out.size() && NextRecord(&out[n])) {
+    ++n;
+  }
+  DerivePacketIds(policy_, out.data(), n);
+  return n;
 }
 
 bool PcapReader::NextClassic(PacketRecord* out) {
@@ -329,7 +392,6 @@ bool PcapReader::NextClassic(PacketRecord* out) {
       out->timestamp_ns =
           sec * 1'000'000'000ULL + (iface.tsresol == 9 ? frac : frac * 1000ULL);
       out->wire_len = origlen;
-      DeriveId(out);
       ++stats_.packets;
       stats_.wire_bytes += out->wire_len;
       return true;
@@ -446,7 +508,6 @@ bool PcapReader::NextNg(PacketRecord* out) {
         if (ParseFrame(body + 20, caplen, iface.link_type, out)) {
           out->timestamp_ns = TicksToNs(iface, ticks);
           out->wire_len = origlen;
-          DeriveId(out);
           ++stats_.packets;
           stats_.wire_bytes += out->wire_len;
           return true;
@@ -471,7 +532,6 @@ bool PcapReader::NextNg(PacketRecord* out) {
         if (ParseFrame(body + 4, caplen, iface.link_type, out)) {
           out->timestamp_ns = 0;  // SPBs carry no timestamp
           out->wire_len = origlen;
-          DeriveId(out);
           ++stats_.packets;
           stats_.wire_bytes += out->wire_len;
           return true;
@@ -636,10 +696,6 @@ bool PcapReader::ParseIp(const uint8_t* data, size_t len, PacketRecord* out) {
 }
 
 void PcapReader::DeriveId(PacketRecord* out) const {
-  if (defer_ids_) {
-    out->id = 0;  // the caller batch-derives via DerivePacketIds; never
-    return;       // leave a stale id in a reused record
-  }
   switch (policy_) {
     case PcapKeyPolicy::kFiveTuple:
       out->id = out->tuple.Id();
@@ -650,49 +706,6 @@ void PcapReader::DeriveId(PacketRecord* out) const {
     case PcapKeyPolicy::kSrcOnly:
       out->id = SrcOnlyId(out->tuple.src_ip);
       break;
-  }
-}
-
-void DerivePacketIds(PcapKeyPolicy policy, PacketRecord* records, size_t n) {
-  // Pack each record's key bytes into a fixed-stride scratch block (the
-  // layouts below byte-match FiveTuple::Id / AddrPair::Id / SrcOnlyId) and
-  // hash a chunk at a time lane-parallel. The resolved kernel is process-
-  // wide: id derivation has no per-instance spec to carry a mode.
-  static const SimdKernel kernel = ResolveSimdKernel(SimdMode::kAuto);
-  constexpr size_t kChunk = 64;
-  uint8_t keys[kChunk * simd::kHashBatchStride];
-  uint64_t ids[kChunk];
-  size_t key_len = 0;
-  switch (policy) {
-    case PcapKeyPolicy::kFiveTuple:
-      key_len = 13;
-      break;
-    case PcapKeyPolicy::kAddrPair:
-      key_len = 8;
-      break;
-    case PcapKeyPolicy::kSrcOnly:
-      key_len = 4;
-      break;
-  }
-  for (size_t base = 0; base < n; base += kChunk) {
-    const size_t m = std::min(kChunk, n - base);
-    for (size_t i = 0; i < m; ++i) {
-      const FiveTuple& t = records[base + i].tuple;
-      uint8_t* slot = keys + i * simd::kHashBatchStride;
-      std::memcpy(slot, &t.src_ip, 4);
-      if (policy != PcapKeyPolicy::kSrcOnly) {
-        std::memcpy(slot + 4, &t.dst_ip, 4);
-      }
-      if (policy == PcapKeyPolicy::kFiveTuple) {
-        std::memcpy(slot + 8, &t.src_port, 2);
-        std::memcpy(slot + 10, &t.dst_port, 2);
-        slot[12] = t.proto;
-      }
-    }
-    simd::HashBytesBatch(kernel, keys, m, key_len, kFlowIdSeed, ids);
-    for (size_t i = 0; i < m; ++i) {
-      records[base + i].id = ids[i];
-    }
   }
 }
 

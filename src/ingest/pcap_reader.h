@@ -49,6 +49,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -114,6 +115,12 @@ class PcapReader {
   // container is malformed beyond recovery; ok() distinguishes the two.
   bool Next(PacketRecord* out);
 
+  // Fill up to out.size() records and return how many were read (0 at
+  // end-of-stream or after a malformed-container stop). Records equal what
+  // Next() would yield, ids included; the ids are hashed across the whole
+  // burst, lane-parallel (the TraceReplayer burst loop reads this way).
+  size_t NextBatch(std::span<PacketRecord> out);
+
   // Restart the packet stream (and stats) over the already-loaded capture.
   // Streaming captures cannot rewind: the call fails the stream (ok()
   // turns false) instead of silently replaying a partial window.
@@ -129,14 +136,6 @@ class PcapReader {
   PcapKeyPolicy policy() const { return policy_; }
   KeyKind key_kind() const { return ToKeyKind(policy_); }
 
-  // Defer id derivation: Next() leaves PacketRecord::id at 0 and the caller
-  // runs DerivePacketIds over whole batches instead (the TraceReplayer
-  // burst loop does - the byte hash vectorizes across records there, where
-  // per-record it cannot). Off by default; every scalar consumer keeps
-  // getting derived ids.
-  void set_defer_ids(bool defer) { defer_ids_ = defer; }
-  bool defer_ids() const { return defer_ids_; }
-
  private:
   struct Interface {
     uint32_t link_type = pcapfmt::kLinkTypeEthernet;
@@ -151,6 +150,8 @@ class PcapReader {
   static uint64_t TicksToNs(const Interface& iface, uint64_t ticks);
   static bool SupportedLinkType(uint32_t link_type);
   bool ParseContainerHeader();
+  // Next() without the id: the parsed record, PacketRecord::id untouched.
+  bool NextRecord(PacketRecord* out);
   // Ensure >= `need` unread bytes are buffered. Slurp mode: a pure
   // availability check. Streaming: compact the consumed prefix, then pull
   // from the source until satisfied or end-of-stream.
@@ -172,7 +173,6 @@ class PcapReader {
   uint32_t Load32(const uint8_t* p) const;
 
   PcapKeyPolicy policy_;
-  bool defer_ids_ = false;
   std::vector<uint8_t> data_;
   std::unique_ptr<ByteSource> source_;  // non-null = streaming mode
   bool source_eof_ = false;
@@ -185,12 +185,6 @@ class PcapReader {
   IngestStats stats_;
   std::string error_;
 };
-
-// Batch id derivation: records[i].id becomes exactly what Next() would
-// have derived under `policy` (FiveTuple/AddrPair/SrcOnly Id()), computed
-// lane-parallel via simd/hash_batch.h where the host supports it. Pairs
-// with PcapReader::set_defer_ids(true).
-void DerivePacketIds(PcapKeyPolicy policy, PacketRecord* records, size_t n);
 
 }  // namespace hk
 

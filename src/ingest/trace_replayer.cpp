@@ -7,108 +7,80 @@
 #include "common/timer.h"
 
 namespace hk {
-namespace {
-
-// Capture-time windowing over anything with Insert/InsertWeighted/Rotate -
-// EpochMonitor and WindowedTopK share the rotation contract, so both
-// overloads share the (once buggy) gap arithmetic.
-template <typename Rotatable>
-ReplayStats ReplayWindowed(const ReplayOptions& options, PcapReader& reader, Rotatable& target) {
-  ReplayStats stats;
-  bool first = true;
-  uint64_t window_start = 0;
-  PacketRecord record;
-  WallTimer timer;
-  while (reader.Next(&record)) {
-    if (first) {
-      stats.first_ts_ns = record.timestamp_ns;
-      window_start = record.timestamp_ns;
-      first = false;
-    }
-    if (options.epoch_ns > 0 && record.timestamp_ns >= window_start + options.epoch_ns) {
-      // Advance by whole windows and rotate once per window crossed, so an
-      // idle gap yields that many empty-window reports - elapsed capture
-      // time, not one stretched window. completed_epochs() stays equal to
-      // the number of window boundaries the capture clock passed.
-      const uint64_t jumped = (record.timestamp_ns - window_start) / options.epoch_ns;
-      window_start += jumped * options.epoch_ns;
-      const uint64_t rotations = std::min(jumped, TraceReplayer::kMaxGapRotations);
-      for (uint64_t i = 0; i < rotations; ++i) {
-        target.Rotate();
-      }
-      stats.epochs += rotations;
-      // Beyond the cap the idle windows coalesce: a pathological timestamp
-      // jump (corrupt capture, clock step) must not spin here for years of
-      // virtual idle time. Any consumer with ring depth <= kMaxGapRotations
-      // is already fully cleared by the rotations that did run.
-    }
-    if (options.byte_weighted) {
-      target.InsertWeighted(record.id, record.wire_len);
-    } else {
-      target.Insert(record.id);
-    }
-    ++stats.packets;
-    stats.wire_bytes += record.wire_len;
-    stats.last_ts_ns = record.timestamp_ns;
-  }
-  stats.seconds = timer.ElapsedSeconds();
-  return stats;
-}
-
-}  // namespace
 
 ReplayStats TraceReplayer::Replay(PcapReader& reader, TopKAlgorithm& algo) const {
-  const size_t batch = std::max<size_t>(options_.batch, 1);
-  std::vector<PacketRecord> records(batch);
-  std::vector<FlowId> ids;
-  std::vector<uint64_t> weights;
-  ids.reserve(batch);
-  if (options_.byte_weighted) {
-    weights.reserve(batch);
-  }
+  return Run(reader, algo, nullptr);
+}
 
-  // Batch the key extraction too: the reader parses headers only, and the
-  // canonical byte hash runs over the whole burst lane-parallel
-  // (DerivePacketIds). Restore the reader's mode on exit - the windowed
-  // overload and other consumers stay per-record.
-  const bool was_deferred = reader.defer_ids();
-  reader.set_defer_ids(true);
+ReplayStats TraceReplayer::Replay(PcapReader& reader, WindowedTopK& window) const {
+  return Run(reader, window, &window);
+}
+
+ReplayStats TraceReplayer::Run(PcapReader& reader, TopKAlgorithm& algo, WindowedTopK* ring) const {
+  const size_t batch = std::max<size_t>(options_.batch, 1);
+  const bool windowed = ring != nullptr && options_.epoch_ns > 0;
+  std::vector<PacketRecord> records(batch);
+  std::vector<FlowId> ids(batch);
+  std::vector<uint64_t> weights(options_.byte_weighted ? batch : 0);
+  // Apply records [begin, end) of the current burst as one InsertBatch.
+  const auto apply = [&](size_t begin, size_t end) {
+    if (begin == end) {
+      return;
+    }
+    const std::span<const FlowId> run(ids.data() + begin, end - begin);
+    if (options_.byte_weighted) {
+      algo.InsertBatch(run, std::span<const uint64_t>(weights.data() + begin, end - begin));
+    } else {
+      algo.InsertBatch(run);
+    }
+  };
 
   ReplayStats stats;
-  bool first = true;
+  uint64_t window_start = 0;
   WallTimer timer;
   for (;;) {
-    size_t n = 0;
-    while (n < batch && reader.Next(&records[n])) {
-      const PacketRecord& record = records[n];
-      stats.wire_bytes += record.wire_len;
-      if (first) {
-        stats.first_ts_ns = record.timestamp_ns;
-        first = false;
-      }
-      stats.last_ts_ns = record.timestamp_ns;
-      ++n;
-    }
+    const size_t n = reader.NextBatch(records);
     if (n == 0) {
       break;
     }
-    DerivePacketIds(reader.policy(), records.data(), n);
-    ids.clear();
-    weights.clear();
+    if (stats.packets == 0) {
+      stats.first_ts_ns = records[0].timestamp_ns;
+      window_start = stats.first_ts_ns;
+    }
+    size_t begin = 0;  // first record of the burst not yet applied
     for (size_t i = 0; i < n; ++i) {
-      ids.push_back(records[i].id);
-      if (options_.byte_weighted) {
-        weights.push_back(records[i].wire_len);
+      const PacketRecord& record = records[i];
+      if (windowed && record.timestamp_ns >= window_start + options_.epoch_ns) {
+        // The run before the boundary belongs to the closing window. Then
+        // advance by whole windows and rotate once per window crossed, so
+        // an idle gap yields that many empty-window reports - elapsed
+        // capture time, not one stretched window. completed_epochs() stays
+        // equal to the number of window boundaries the capture clock passed.
+        apply(begin, i);
+        begin = i;
+        const uint64_t jumped = (record.timestamp_ns - window_start) / options_.epoch_ns;
+        window_start += jumped * options_.epoch_ns;
+        // Beyond the cap the idle windows coalesce: a pathological
+        // timestamp jump (corrupt capture, clock step) must not spin here
+        // for years of virtual idle time. Any ring of depth <=
+        // kMaxGapRotations is already fully cleared by the rotations that
+        // did run.
+        const uint64_t rotations = std::min(jumped, kMaxGapRotations);
+        for (uint64_t r = 0; r < rotations; ++r) {
+          ring->Rotate();
+        }
+        stats.epochs += rotations;
       }
+      ids[i] = record.id;
+      if (options_.byte_weighted) {
+        weights[i] = record.wire_len;
+      }
+      stats.wire_bytes += record.wire_len;
     }
-    if (options_.byte_weighted) {
-      algo.InsertBatch(std::span<const FlowId>(ids), std::span<const uint64_t>(weights));
-    } else {
-      algo.InsertBatch(std::span<const FlowId>(ids));
-    }
+    apply(begin, n);
     stats.packets += n;
+    stats.last_ts_ns = records[n - 1].timestamp_ns;
   }
-  reader.set_defer_ids(was_deferred);
   // Threaded front-ends only enqueued above; pay for the applied packets
   // inside the timed region. Snapshot quiesces before reading, so when a
   // report was requested it doubles as the end-of-stream Flush.
@@ -119,14 +91,6 @@ ReplayStats TraceReplayer::Replay(PcapReader& reader, TopKAlgorithm& algo) const
   }
   stats.seconds = timer.ElapsedSeconds();
   return stats;
-}
-
-ReplayStats TraceReplayer::Replay(PcapReader& reader, EpochMonitor& monitor) const {
-  return ReplayWindowed(options_, reader, monitor);
-}
-
-ReplayStats TraceReplayer::Replay(PcapReader& reader, WindowedTopK& window) const {
-  return ReplayWindowed(options_, reader, window);
 }
 
 }  // namespace hk

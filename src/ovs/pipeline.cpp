@@ -4,9 +4,9 @@
 #include <span>
 #include <thread>
 
+#include "common/spsc_ring.h"
 #include "common/timer.h"
 #include "common/zipf.h"
-#include "ovs/spsc_ring.h"
 #include "trace/generators.h"
 
 namespace hk {
@@ -58,14 +58,16 @@ PipelineResult RunPipelines(const std::vector<RawPacket>& packets, const Algorit
           if (id == kEndOfStream) {
             id = 1;  // avoid colliding with the sentinel
           }
+          size_t spins = 0;  // per packet: a successful push resets the backoff
           while (!ring.TryPush(id)) {
             // Ring full: the measurement consumer back-pressures the datapath.
-            std::this_thread::yield();
+            Backoff(spins);
           }
         }
       }
+      size_t spins = 0;
       while (!ring.TryPush(kEndOfStream)) {
-        std::this_thread::yield();
+        Backoff(spins);
       }
     });
     threads.emplace_back([&, i] {
@@ -77,6 +79,7 @@ PipelineResult RunPipelines(const std::vector<RawPacket>& packets, const Algorit
       constexpr size_t kDrainBatch = 256;
       FlowId batch[kDrainBatch];
       bool done = false;
+      size_t spins = 0;
       while (!done) {
         size_t n = 0;
         FlowId id;
@@ -91,8 +94,9 @@ PipelineResult RunPipelines(const std::vector<RawPacket>& packets, const Algorit
           if (algo != nullptr) {
             algo->InsertBatch(std::span<const FlowId>(batch, n));
           }
+          spins = 0;
         } else if (!done) {
-          std::this_thread::yield();
+          Backoff(spins);
         }
       }
       if (algo != nullptr) {

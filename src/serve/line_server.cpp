@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <string>
 #include <utility>
 
 #include "serve/net.h"
@@ -16,7 +17,7 @@ LineServer::LineServer(ServeCore& core) : core_(core) {
                                         "Protocol connections accepted by the listener");
   tm_protocol_errors_ = registry.GetCounter(
       "hk_serve_protocol_errors_total",
-      "Connections that ended mid-request (truncated line) or on a socket error");
+      "Connections that ended mid-request (truncated or overlong line) or on a socket error");
 }
 
 bool LineServer::Start(uint16_t port, std::string* err) {
@@ -92,9 +93,16 @@ void LineServer::ServeConnection(int fd) {
   std::string line;
   while (!stopping_.load(std::memory_order_acquire)) {
     const ReadLineStatus status = ReadLineEx(fd, &carry, &line);
+    if (status == ReadLineStatus::kTooLong) {
+      // A flood with no newline: say why, then drop the connection rather
+      // than buffer it.
+      const std::string reply =
+          "ERR request line longer than " + std::to_string(kMaxRequestLineBytes) + " bytes\n";
+      WriteAll(fd, reply.data(), reply.size());
+    }
     if (status != ReadLineStatus::kLine) {
-      // A clean EOF is just a client leaving; a truncated line or a socket
-      // error is a connection that died mid-request. Count the latter (the
+      // A clean EOF is just a client leaving; a truncated or overlong line
+      // or a socket error ends a connection mid-request. Count those (the
       // daemon's own Stop() shutdown also surfaces as an error here -
       // stopping_ filters it out of the metric).
       if (status != ReadLineStatus::kEof && !stopping_.load(std::memory_order_acquire)) {

@@ -112,8 +112,9 @@ bool WriteAll(int fd, const char* data, size_t size) {
 }
 
 ReadLineStatus ReadLineEx(int fd, std::string* carry, std::string* line) {
+  size_t scanned = 0;  // prefix of *carry already known to hold no newline
   for (;;) {
-    const size_t nl = carry->find('\n');
+    const size_t nl = carry->find('\n', scanned);
     if (nl != std::string::npos) {
       *line = carry->substr(0, nl);
       if (!line->empty() && line->back() == '\r') {
@@ -121,6 +122,10 @@ ReadLineStatus ReadLineEx(int fd, std::string* carry, std::string* line) {
       }
       carry->erase(0, nl + 1);
       return ReadLineStatus::kLine;
+    }
+    scanned = carry->size();
+    if (scanned > kMaxRequestLineBytes) {
+      return ReadLineStatus::kTooLong;
     }
     char chunk[4096];
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);

@@ -5,6 +5,7 @@
 #ifndef HK_SERVE_NET_H_
 #define HK_SERVE_NET_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -24,6 +25,10 @@ bool ParseTcpEndpoint(const std::string& text, std::string* host, uint16_t* port
 // write(2) the whole buffer, retrying EINTR / short writes.
 bool WriteAll(int fd, const char* data, size_t size);
 
+// Longest line ReadLineEx buffers: 16x PATH_MAX, so the longest real
+// request (an ATTACH naming a capture path) fits with room to spare.
+inline constexpr size_t kMaxRequestLineBytes = 64 * 1024;
+
 // How a ReadLineEx call ended. EINTR and short reads are retried inside;
 // none of these statuses ever means "try the same call again".
 enum class ReadLineStatus {
@@ -31,12 +36,16 @@ enum class ReadLineStatus {
   kEof,        // clean disconnect: EOF with an empty carry buffer
   kTruncated,  // EOF with a partial line buffered (client died mid-request)
   kError,      // recv failed (connection reset and friends)
+  kTooLong,    // more than kMaxRequestLineBytes arrived with no newline
 };
 
 // Read one '\n'-terminated line (newline stripped, CR tolerated) through a
 // caller-held carry buffer. Distinguishes a clean disconnect from a
 // connection that died mid-line or errored, so servers can count protocol
-// errors instead of treating every short read as a polite goodbye.
+// errors instead of treating every short read as a polite goodbye. Each
+// byte is searched for the newline once per call, and a line that passes
+// kMaxRequestLineBytes without one ends the read (kTooLong) instead of
+// growing the carry without bound.
 ReadLineStatus ReadLineEx(int fd, std::string* carry, std::string* line);
 
 // Compatibility wrapper: true only for kLine (clients that retry or close

@@ -13,14 +13,16 @@
 //     flow ids (each occurrence ranked by its own estimate) - that is the
 //     documented contract, not a bug; use kSumById when inputs can overlap.
 //
-//   kSumById - the inputs cover disjoint *time slices* of one stream, so
-//     the same flow may appear in several lists and its sliding estimate
-//     is the SUM of its per-slice estimates. A flow absent from a slice's
-//     report contributes 0 for that slice (the slice's sketch either never
-//     saw it or ranked it below the report cutoff), so merged estimates
-//     are lower bounds of a full-resolution sliding sketch. Callers:
+//   kSumById - the inputs cover disjoint *slices* of the traffic (time
+//     slices of one stream, or switches that forward disjoint flows), so
+//     the same flow may appear in several lists and its estimate is the
+//     SUM of its per-slice estimates. A flow absent from a slice's report
+//     contributes 0 for that slice (the slice's sketch either never saw it
+//     or ranked it below the report cutoff), so merged estimates are lower
+//     bounds of a full-resolution sketch over the union. Callers:
 //     WindowedTopK::Snapshot/TopK (window/windowed_topk.h), which merges
-//     its ring of per-epoch reports.
+//     its ring of per-epoch reports, and the network-wide collector in
+//     examples/network_collector.cpp, which sums per-switch reports.
 //
 // Relative to one sketch with the same *total* memory, a k-shard split
 // changes the error profile in two documented ways: each shard's arrays

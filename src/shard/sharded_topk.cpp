@@ -1,6 +1,5 @@
 #include "shard/sharded_topk.h"
 
-#include <chrono>
 #include <stdexcept>
 #include <utility>
 
@@ -14,17 +13,6 @@ namespace {
 // name()'s emit-only-non-default comparisons both read from here, so
 // changing a default in ShardedTopKOptions cannot desynchronize them.
 const ShardedTopKOptions kDefaultOptions{};
-
-// Producer and worker wait strategy: stay on the CPU briefly (a draining
-// worker usually frees a slot within a few yields), then sleep so an idle
-// or back-pressured thread does not starve whoever holds the work.
-inline void Backoff(size_t& spins) {
-  if (++spins < 64) {
-    std::this_thread::yield();
-  } else {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-}
 
 }  // namespace
 

@@ -13,7 +13,7 @@
 //     owning shard; batches are scattered into per-shard runs and applied
 //     through the inner InsertBatch fast path. No threads, no queues -
 //     bit-for-bit reproducible and safe anywhere a plain sketch is.
-//   * Threaded (threads=1): each shard gets an SPSC ring (ovs/spsc_ring.h)
+//   * Threaded (threads=1): each shard gets an SPSC ring (common/spsc_ring.h)
 //     and a worker thread that drains it in bursts through InsertBatch.
 //     The caller's thread is the single producer; workers are the single
 //     consumers. A full ring back-pressures the producer.
@@ -58,7 +58,7 @@
 #include <thread>
 #include <vector>
 
-#include "ovs/spsc_ring.h"
+#include "common/spsc_ring.h"
 #include "shard/partition.h"
 #include "sketch/registry.h"
 #include "sketch/topk_algorithm.h"

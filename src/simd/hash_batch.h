@@ -1,5 +1,5 @@
-// Batched HashBytes for fixed-width keys (the TraceReplayer key-extraction
-// loop). The pcap replay path hashes one small key per packet - 13 bytes
+// Batched HashBytes for fixed-width keys (PcapReader::NextBatch's id
+// derivation). The pcap replay path hashes one small key per packet - 13 bytes
 // for a five-tuple, 8 for an address pair, 4 for src-only - and the scalar
 // xxHash64-style construction is pure 64-bit multiply/rotate chains, so
 // four keys vectorize cleanly per AVX2 iteration.

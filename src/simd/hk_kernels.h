@@ -11,7 +11,8 @@
 //      instead of a d-iteration pointer-chasing loop. Narrow (4-byte)
 //      words only - the wide-word layout stays on the scalar loop, as do
 //      d < 4 sketches where a gather cannot pay for itself.
-//   3. HashBytesBatch (simd/hash_batch.h) - the TraceReplayer key hash.
+//   3. HashBytesBatch (simd/hash_batch.h) - the flow-id hash of
+//      PcapReader::NextBatch, which feeds the TraceReplayer burst loop.
 //
 // Basic/Parallel inserts keep the scalar apply loop: every mapped bucket
 // mutates, so the bottleneck is the d scattered *stores* (AVX2 has no

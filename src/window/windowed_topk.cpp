@@ -43,11 +43,15 @@ WindowedTopK::WindowedTopK(const WindowedTopKOptions& options, const SketchDefau
   // candidates per epoch keeps such flows alive until the kSumById merge,
   // which truncates back to k. The deeper heap has to fit the slot's byte
   // slice, so the depth is capped at one heap entry per ~32 slice bytes and
-  // never drops below the caller's k.
-  constexpr size_t kHeapBytesPerEntry = 32;
-  slot_defaults_.k =
-      std::min(defaults.k * kMergeOversample,
-               std::max(defaults.k, slot_defaults_.memory_bytes / kHeapBytesPerEntry));
+  // never drops below the caller's k. A one-slot ring never merges, so at
+  // w=1 the slot is built from exactly the caller's defaults: each epoch
+  // reports what the inner alone would report over that epoch.
+  if (options_.window_epochs > 1) {
+    constexpr size_t kHeapBytesPerEntry = 32;
+    slot_defaults_.k =
+        std::min(defaults.k * kMergeOversample,
+                 std::max(defaults.k, slot_defaults_.memory_bytes / kHeapBytesPerEntry));
+  }
 
   slots_.reserve(options_.window_epochs);
   slots_.push_back(MakeSlot());
@@ -112,8 +116,9 @@ void WindowedTopK::CountPackets(uint64_t packets) {
 }
 
 void WindowedTopK::Insert(FlowId id) {
-  // EpochMonitor boundary contract: the insert lands in the old epoch
-  // first, so a completed window holds exactly epoch_packets packets.
+  // Rotation boundary contract: the insert lands in the old epoch first,
+  // so a completed window holds exactly epoch_packets packets and the Nth
+  // packet of a window is the one whose insert triggers the rotation.
   slots_[current_]->Insert(id);
   CountPackets(1);
 }

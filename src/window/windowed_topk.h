@@ -17,9 +17,13 @@
 //     new current epoch - its old contents age out of every answer at
 //     that instant.
 //   * Rotate() is also public so a capture-time driver (the TraceReplayer
-//     overload in ingest/trace_replayer.h, hk_cli ingest --window) can
+//     overload in ingest/trace_replayer.h, hk_cli ingest --epoch-ms) can
 //     rotate on timestamps instead; one Rotate() per elapsed window keeps
 //     empty windows' (empty) reports flowing.
+//   * w=1 is the periodic report of the paper's deployment framing
+//     ("measure a short period, report, reset"): the one slot keeps the
+//     caller's k, so each epoch callback equals the inner run alone over
+//     that epoch's packets.
 //   * Snapshot()/TopK() merge the W per-slot reports with
 //     MergeTopK(kSumById): the same flow id appears in several epochs and
 //     its sliding estimate is the sum of its per-epoch estimates. A flow
@@ -82,14 +86,18 @@ class WindowedTopK : public TopKAlgorithm {
   // only rotates through explicit Rotate() calls (capture-time drivers).
   static constexpr uint64_t kNoPacketRotation = UINT64_MAX;
 
-  // Each slot tracks kMergeOversample * k candidates and the kSumById merge
-  // consumes that full depth before truncating to k: a flow below rank k in
-  // every individual epoch can still rank above k in the window-wide sum,
-  // and a k-deep per-epoch cut would drop it before the merge ever sees it.
+  // With w >= 2 each slot tracks kMergeOversample * k candidates and the
+  // kSumById merge consumes that full depth before truncating to k: a flow
+  // below rank k in every individual epoch can still rank above k in the
+  // window-wide sum, and a k-deep per-epoch cut would drop it before the
+  // merge ever sees it. A one-slot ring has nothing to merge and keeps
+  // exactly k, so Window:w=1 is the per-epoch report of its inner alone.
   static constexpr size_t kMergeOversample = 4;
 
-  // Called with each completed epoch's exact report as the ring rotates
-  // (the EpochMonitor callback shape; empty epochs deliver empty reports).
+  // Called with each completed epoch's exact report (the slot's TopK at its
+  // own depth: k at w=1, up to kMergeOversample * k otherwise) as the ring
+  // rotates, with the completed epoch's 0-based index: R rotations deliver
+  // indices 0..R-1. Empty epochs deliver empty reports.
   using EpochCallback = std::function<void(uint64_t epoch, std::vector<FlowCount> report)>;
 
   // Builds W inner instances via MakeSketch(options.inner_spec) with

@@ -11,13 +11,14 @@
 // fixtures.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "core/epoch_monitor.h"
 #include "ingest/pcap_reader.h"
 #include "ingest/pcap_writer.h"
 #include "ingest/trace_replayer.h"
@@ -25,6 +26,7 @@
 #include "sketch/registry.h"
 #include "trace/generators.h"
 #include "trace/oracle.h"
+#include "window/windowed_topk.h"
 
 namespace hk {
 namespace {
@@ -235,6 +237,23 @@ TEST(IngestReplayTest, ByteWeightedReplayTracksTheByteOracle) {
   EXPECT_GE(report.precision, 0.9);
 }
 
+using EpochReports = std::vector<std::pair<uint64_t, std::vector<FlowCount>>>;
+
+// A capture-time ring of `w` windows around `inner` that records every
+// epoch callback. w=1 is the per-window report: one slot, reset at each
+// boundary.
+std::unique_ptr<WindowedTopK> RecordingRing(size_t w, const std::string& inner,
+                                            EpochReports* reports) {
+  WindowedTopKOptions options;
+  options.window_epochs = w;
+  options.epoch_packets = WindowedTopK::kNoPacketRotation;  // capture clock only
+  options.inner_spec = inner;
+  auto record = [reports](uint64_t epoch, std::vector<FlowCount> report) {
+    reports->emplace_back(epoch, std::move(report));
+  };
+  return std::make_unique<WindowedTopK>(options, CampusDefaults(), std::move(record));
+}
+
 TEST(IngestReplayTest, EpochWindowsFollowCaptureTime) {
   const Fixture& f = LoadFixture(CampusFixture(), PcapKeyPolicy::kFiveTuple);
   // Window width = a tenth of the capture's span: expect ~10 rotations.
@@ -243,52 +262,51 @@ TEST(IngestReplayTest, EpochWindowsFollowCaptureTime) {
   ReplayOptions options;
   options.epoch_ns = span / 10;
 
-  uint64_t window_packets = 0;
-  std::vector<size_t> report_sizes;
-  EpochMonitor monitor([](uint64_t) { return MakeSketch("HK-Minimum", CampusDefaults()); },
-                       UINT64_MAX, kK, [&](uint64_t, std::vector<FlowCount> report) {
-                         report_sizes.push_back(report.size());
-                       });
+  EpochReports reports;
+  auto ring = RecordingRing(1, "HK-Minimum", &reports);
   PcapReader reader(PcapKeyPolicy::kFiveTuple);
   ASSERT_TRUE(reader.Open(CampusFixture())) << reader.error();
   const TraceReplayer replayer(options);
-  const ReplayStats stats = replayer.Replay(reader, monitor);
-  window_packets = stats.packets;
+  const ReplayStats stats = replayer.Replay(reader, *ring);
 
-  EXPECT_EQ(window_packets, f.packets);
+  EXPECT_EQ(stats.packets, f.packets);
   EXPECT_GE(stats.epochs, 9u);
   EXPECT_LE(stats.epochs, 11u);
-  EXPECT_EQ(monitor.completed_epochs(), stats.epochs);
-  for (const size_t size : report_sizes) {
-    EXPECT_GT(size, 0u);  // every closed window saw packets and reports
+  EXPECT_EQ(ring->completed_epochs(), stats.epochs);
+  for (const auto& [epoch, report] : reports) {
+    EXPECT_GT(report.size(), 0u) << "window " << epoch;  // every closed window saw packets
   }
 }
 
-TEST(IngestReplayTest, IdleGapReplayRotatesOncePerSkippedWindow) {
-  // Regression for the multi-window rotation loss: three bursts separated
-  // by idle gaps of 3+ windows. Every crossed window boundary must rotate
-  // - empty windows included - and each completed window's report must
-  // match that window's exact oracle (Space-Saving inner: exact while the
-  // distinct flows fit).
-  const std::string path = std::string(::testing::TempDir()) + "/ingest_gap.pcap";
-  constexpr uint64_t kEpochNs = 1'000'000;  // 1 ms windows
-  const uint64_t t0 = 1'500'000'000ULL * 1'000'000'000ULL;
+// Three bursts separated by idle gaps of 3+ windows of kGapEpochNs: burst 0
+// in window 0, burst 1 in window 4, burst 2 in window 9. 40 packets per
+// burst over 2 flows (25/15), 1 us apart, well inside one window.
+constexpr uint64_t kGapEpochNs = 1'000'000;  // 1 ms windows
+constexpr uint64_t kGapT0 = 1'500'000'000ULL * 1'000'000'000ULL;
 
+std::string WriteIdleGapCapture(const std::string& name) {
+  const std::string path = std::string(::testing::TempDir()) + "/" + name;
   PcapWriter writer;
-  ASSERT_TRUE(writer.Open(path));
-  // Burst 0 in window 0, burst 1 in window 4 (3 idle windows between),
-  // burst 2 in window 9 (4 idle windows between). 40 packets per burst
-  // over 2 flows, 1 us packet spacing (well inside one window).
+  EXPECT_TRUE(writer.Open(path));
   const uint64_t burst_windows[] = {0, 4, 9};
   for (int b = 0; b < 3; ++b) {
-    uint64_t ts = t0 + burst_windows[b] * kEpochNs;
+    uint64_t ts = kGapT0 + burst_windows[b] * kGapEpochNs;
     for (int i = 0; i < 40; ++i) {
-      const uint64_t rank = 2 * b + (i < 25 ? 0 : 1);  // 25/15 split per burst
-      ASSERT_TRUE(writer.Write(RankToTuple(rank, KeyKind::kFiveTuple13B, 9), ts, 100));
+      const uint64_t rank = 2 * b + (i < 25 ? 0 : 1);
+      EXPECT_TRUE(writer.Write(RankToTuple(rank, KeyKind::kFiveTuple13B, 9), ts, 100));
       ts += 1000;
     }
   }
-  ASSERT_TRUE(writer.Close());
+  EXPECT_TRUE(writer.Close());
+  return path;
+}
+
+TEST(IngestReplayTest, IdleGapReplayRotatesOncePerSkippedWindow) {
+  // Regression for the multi-window rotation loss: every crossed window
+  // boundary must rotate - empty windows included - and each completed
+  // window's report must match that window's exact oracle (Space-Saving
+  // inner: exact while the distinct flows fit).
+  const std::string path = WriteIdleGapCapture("ingest_gap.pcap");
 
   // Per-window exact oracles, bucketed by the same capture clock.
   std::unordered_map<uint64_t, Oracle> window_oracle;
@@ -297,35 +315,189 @@ TEST(IngestReplayTest, IdleGapReplayRotatesOncePerSkippedWindow) {
     ASSERT_TRUE(reader.Open(path)) << reader.error();
     PacketRecord record;
     while (reader.Next(&record)) {
-      window_oracle[(record.timestamp_ns - t0) / kEpochNs].Add(record.id);
+      window_oracle[(record.timestamp_ns - kGapT0) / kGapEpochNs].Add(record.id);
     }
   }
 
-  std::vector<std::vector<FlowCount>> reports;
-  EpochMonitor monitor([](uint64_t) { return MakeSketch("SS", CampusDefaults()); },
-                       UINT64_MAX, kK, [&](uint64_t, std::vector<FlowCount> report) {
-                         reports.push_back(std::move(report));
-                       });
+  EpochReports reports;
+  auto ring = RecordingRing(1, "SS", &reports);
   PcapReader reader(PcapKeyPolicy::kFiveTuple);
   ASSERT_TRUE(reader.Open(path)) << reader.error();
   ReplayOptions options;
-  options.epoch_ns = kEpochNs;
-  const ReplayStats stats = TraceReplayer(options).Replay(reader, monitor);
+  options.epoch_ns = kGapEpochNs;
+  const ReplayStats stats = TraceReplayer(options).Replay(reader, *ring);
 
   // Windows 0..8 completed (window 9 is still filling): 9 rotations, and
-  // stats.epochs agrees with the monitor's own count.
+  // stats.epochs agrees with the ring's own count.
   EXPECT_EQ(stats.packets, 120u);
   EXPECT_EQ(stats.epochs, 9u);
-  EXPECT_EQ(monitor.completed_epochs(), stats.epochs);
+  EXPECT_EQ(ring->completed_epochs(), stats.epochs);
   ASSERT_EQ(reports.size(), 9u);
   for (uint64_t w = 0; w < reports.size(); ++w) {
+    EXPECT_EQ(reports[w].first, w);
     const auto it = window_oracle.find(w);
     const std::vector<FlowCount> expected =
         it == window_oracle.end() ? std::vector<FlowCount>{} : it->second.TopK(kK);
-    EXPECT_EQ(reports[w], expected) << "window " << w;
+    EXPECT_EQ(reports[w].second, expected) << "window " << w;
   }
-  // The partial window 9 is burst 2, visible through the live view.
-  EXPECT_EQ(monitor.CurrentTopK(), window_oracle[9].TopK(kK));
+  // The partial window 9 is burst 2, and a one-slot ring's sliding answer
+  // is that window alone.
+  EXPECT_EQ(ring->Snapshot({.k = kK}).flows, window_oracle[9].TopK(kK));
+}
+
+// Window:w=1 is the per-epoch report of its inner: each epoch callback,
+// and the end Snapshot(k) of the partial last epoch, equal the inner run
+// alone over exactly that epoch's packets (same budget, k and seed).
+TEST(IngestReplayTest, OneSlotWindowReportsEachEpochAsItsInnerAlone) {
+  const Fixture& f = LoadFixture(CampusFixture(), PcapKeyPolicy::kFiveTuple);
+  const uint64_t epoch_ns = (f.last_ts_ns - f.first_ts_ns) / 10;
+  ASSERT_GT(epoch_ns, 0u);
+
+  // The capture's packets, bucketed into windows by the replayer's clock.
+  std::vector<std::vector<FlowId>> epochs(1);
+  {
+    PcapReader reader(PcapKeyPolicy::kFiveTuple);
+    ASSERT_TRUE(reader.Open(CampusFixture())) << reader.error();
+    PacketRecord record;
+    uint64_t window_start = f.first_ts_ns;
+    while (reader.Next(&record)) {
+      if (record.timestamp_ns >= window_start + epoch_ns) {
+        const uint64_t jumped = (record.timestamp_ns - window_start) / epoch_ns;
+        window_start += jumped * epoch_ns;
+        epochs.resize(epochs.size() + jumped);
+      }
+      epochs.back().push_back(record.id);
+    }
+  }
+  ASSERT_GE(epochs.size(), 10u);
+
+  for (const std::string inner : {"HK-Minimum", "SS"}) {
+    EpochReports reports;
+    auto ring = RecordingRing(1, inner, &reports);
+    PcapReader reader(PcapKeyPolicy::kFiveTuple);
+    ASSERT_TRUE(reader.Open(CampusFixture())) << reader.error();
+    ReplayOptions options;
+    options.epoch_ns = epoch_ns;
+    TraceReplayer(options).Replay(reader, *ring);
+
+    ASSERT_EQ(reports.size(), epochs.size() - 1) << inner;
+    for (size_t e = 0; e < epochs.size(); ++e) {
+      auto alone = MakeSketch(inner, CampusDefaults());
+      alone->InsertBatch(epochs[e]);
+      const std::vector<FlowCount> expected = alone->Snapshot({.k = kK}).flows;
+      ASSERT_FALSE(expected.empty()) << inner << " epoch " << e;
+      if (e < reports.size()) {
+        EXPECT_EQ(reports[e].first, e);
+        EXPECT_EQ(reports[e].second, expected) << inner << " epoch " << e;
+      } else {
+        EXPECT_EQ(ring->Snapshot({.k = kK}).flows, expected) << inner << " partial epoch";
+      }
+    }
+  }
+}
+
+// What a capture-time windowed replay observably produced.
+struct WindowedRun {
+  EpochReports reports;
+  uint64_t packets = 0;
+  uint64_t epochs = 0;     // rotations the replay triggered
+  uint64_t completed = 0;  // the ring's completed_epochs()
+  std::vector<FlowCount> snapshot;
+};
+
+// The per-packet reference the burst loop must match: Insert (or
+// InsertWeighted by wire length) per record, and one Rotate() per window
+// boundary the record's timestamp crosses, capped at kMaxGapRotations.
+WindowedRun ReferenceWindowedReplay(const std::string& path, PcapKeyPolicy policy, size_t w,
+                                    uint64_t epoch_ns, bool byte_weighted) {
+  WindowedRun run;
+  auto ring = RecordingRing(w, "HK-Minimum", &run.reports);
+  PcapReader reader(policy);
+  EXPECT_TRUE(reader.Open(path)) << reader.error();
+  PacketRecord record;
+  uint64_t window_start = 0;
+  while (reader.Next(&record)) {
+    if (run.packets == 0) {
+      window_start = record.timestamp_ns;
+    }
+    if (record.timestamp_ns >= window_start + epoch_ns) {
+      const uint64_t jumped = (record.timestamp_ns - window_start) / epoch_ns;
+      window_start += jumped * epoch_ns;
+      const uint64_t rotations = std::min(jumped, TraceReplayer::kMaxGapRotations);
+      for (uint64_t r = 0; r < rotations; ++r) {
+        ring->Rotate();
+      }
+      run.epochs += rotations;
+    }
+    if (byte_weighted) {
+      ring->InsertWeighted(record.id, record.wire_len);
+    } else {
+      ring->Insert(record.id);
+    }
+    ++run.packets;
+  }
+  run.completed = ring->completed_epochs();
+  run.snapshot = ring->Snapshot({.k = kK}).flows;
+  return run;
+}
+
+WindowedRun BurstWindowedReplay(const std::string& path, PcapKeyPolicy policy, size_t w,
+                                uint64_t epoch_ns, bool byte_weighted, size_t batch) {
+  WindowedRun run;
+  auto ring = RecordingRing(w, "HK-Minimum", &run.reports);
+  PcapReader reader(policy);
+  EXPECT_TRUE(reader.Open(path)) << reader.error();
+  ReplayOptions options;
+  options.batch = batch;
+  options.byte_weighted = byte_weighted;
+  options.epoch_ns = epoch_ns;
+  const ReplayStats stats = TraceReplayer(options).Replay(reader, *ring);
+  run.packets = stats.packets;
+  run.epochs = stats.epochs;
+  run.completed = ring->completed_epochs();
+  run.snapshot = ring->Snapshot({.k = kK}).flows;
+  return run;
+}
+
+TEST(IngestReplayTest, WindowedReplayEqualsPerPacketReference) {
+  struct Case {
+    std::string path;
+    PcapKeyPolicy policy;
+    uint64_t epoch_ns;
+  };
+  const Fixture& campus = LoadFixture(CampusFixture(), PcapKeyPolicy::kFiveTuple);
+  const Fixture& caida = LoadFixture(CaidaFixture(), PcapKeyPolicy::kAddrPair);
+  // ~50 windows per fixture, so a 512-record burst crosses many boundaries.
+  const uint64_t campus_epoch_ns = (campus.last_ts_ns - campus.first_ts_ns) / 50;
+  const uint64_t caida_epoch_ns = (caida.last_ts_ns - caida.first_ts_ns) / 50;
+  const std::string gap = WriteIdleGapCapture("ingest_gap_equivalence.pcap");
+  const std::vector<Case> cases = {
+      {CampusFixture(), PcapKeyPolicy::kFiveTuple, campus_epoch_ns},
+      {CaidaFixture(), PcapKeyPolicy::kAddrPair, caida_epoch_ns},
+      {gap, PcapKeyPolicy::kFiveTuple, kGapEpochNs},
+  };
+  for (const Case& c : cases) {
+    ASSERT_GT(c.epoch_ns, 0u) << c.path;
+    for (const size_t w : {1, 4}) {
+      for (const bool byte_weighted : {false, true}) {
+        const WindowedRun want =
+            ReferenceWindowedReplay(c.path, c.policy, w, c.epoch_ns, byte_weighted);
+        ASSERT_GT(want.epochs, 0u) << c.path;
+        for (const size_t batch : {1, 7, 512}) {
+          const WindowedRun got =
+              BurstWindowedReplay(c.path, c.policy, w, c.epoch_ns, byte_weighted, batch);
+          std::string where = c.path + " w=" + std::to_string(w);
+          where += byte_weighted ? " bytes" : " packets";
+          where += " batch=" + std::to_string(batch);
+          EXPECT_EQ(got.packets, want.packets) << where;
+          EXPECT_EQ(got.epochs, want.epochs) << where;
+          EXPECT_EQ(got.completed, want.completed) << where;
+          EXPECT_EQ(got.reports, want.reports) << where;
+          EXPECT_EQ(got.snapshot, want.snapshot) << where;
+        }
+      }
+    }
+  }
 }
 
 TEST(IngestReplayTest, SrcOnlyPolicyCoarsensTheFlowSpace) {

@@ -4,9 +4,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/spsc_ring.h"
 #include "ovs/datapath.h"
 #include "ovs/pipeline.h"
-#include "ovs/spsc_ring.h"
 #include "sketch/registry.h"
 #include "sketch/space_saving.h"
 

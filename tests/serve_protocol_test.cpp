@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ingest/capture_synth.h"
@@ -366,6 +367,30 @@ TEST(ReadLineExTest, DistinguishesEofTruncatedAndLine) {
   EXPECT_EQ(ReadLineEx(sv[1], &carry, &line), ReadLineStatus::kError);
 }
 
+// A line may be kMaxRequestLineBytes long; one byte more with no newline
+// ends the read as kTooLong instead of buffering the flood until EOF.
+TEST(ReadLineExTest, LineLongerThanTheLimitIsTooLong) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  // The writer runs on its own thread: 128 KiB may not fit the socket
+  // buffer in one go.
+  std::thread writer([fd = sv[0]] {
+    const std::string longest(kMaxRequestLineBytes, 'A');
+    const std::string flood(kMaxRequestLineBytes + 1, 'B');
+    WriteAll(fd, longest.data(), longest.size());
+    WriteAll(fd, "\n", 1);
+    WriteAll(fd, flood.data(), flood.size());
+    ::close(fd);
+  });
+  std::string carry;
+  std::string line;
+  EXPECT_EQ(ReadLineEx(sv[1], &carry, &line), ReadLineStatus::kLine);
+  EXPECT_EQ(line.size(), kMaxRequestLineBytes);
+  EXPECT_EQ(ReadLineEx(sv[1], &carry, &line), ReadLineStatus::kTooLong);
+  ::close(sv[1]);
+  writer.join();
+}
+
 // A client dribbling one byte at a time must still be served: ReadLineEx
 // keeps accumulating through short reads instead of treating them as
 // closes. Its mid-line death afterwards must register as a protocol error.
@@ -403,6 +428,42 @@ TEST(LineServerTest, ByteAtATimeClientAndTruncationTelemetry) {
     }
     EXPECT_GE(proto_errors_after, proto_errors_before + 1);
   }
+  server.Stop();
+}
+
+// A client that floods one line with no newline gets an ERR and a closed
+// connection, is counted as a protocol error, and the daemon keeps serving.
+TEST(LineServerTest, OverlongRequestLineIsRefusedAndClosed) {
+  ServeCore core(SmallOptions());
+  LineServer server(core);
+  std::string err;
+  ASSERT_TRUE(server.Start(0, &err)) << err;
+  const uint64_t proto_errors_before =
+      telemetry::Registry::Get().SumCounter("hk_serve_protocol_errors_total");
+
+  const int fd = ConnectTcp("127.0.0.1", server.port(), &err);
+  ASSERT_GE(fd, 0) << err;
+  const std::string flood(kMaxRequestLineBytes + 1, 'A');
+  ASSERT_TRUE(WriteAll(fd, flood.data(), flood.size()));
+  ::shutdown(fd, SHUT_WR);
+  std::string carry;
+  std::string line;
+  ASSERT_EQ(ReadLineEx(fd, &carry, &line), ReadLineStatus::kLine);
+  EXPECT_EQ(line, "ERR request line longer than 65536 bytes");
+  EXPECT_EQ(ReadLineEx(fd, &carry, &line), ReadLineStatus::kEof);  // server hung up
+  ::close(fd);
+  if (telemetry::Registry::Enabled()) {
+    EXPECT_GE(telemetry::Registry::Get().SumCounter("hk_serve_protocol_errors_total"),
+              proto_errors_before + 1);
+  }
+
+  const int next = ConnectTcp("127.0.0.1", server.port(), &err);
+  ASSERT_GE(next, 0) << err;
+  ASSERT_TRUE(WriteAll(next, "PING\n", 5));
+  carry.clear();
+  ASSERT_TRUE(ReadLine(next, &carry, &line));
+  EXPECT_EQ(line, "OK pong");
+  ::close(next);
   server.Stop();
 }
 

@@ -68,6 +68,18 @@ grep -q "^FLOW " "$WORK/topk_before.txt"
 query "CHECKPOINT" | grep -q "^OK checkpoint "
 [ -f "$CKPT" ] || { echo "checkpoint file not written"; exit 1; }
 
+echo "== a request line past the 64 KiB limit is refused, the daemon keeps serving =="
+# 65537 bytes with no newline: the daemon answers ERR and hangs up instead
+# of buffering the flood. The timeout turns a daemon that keeps reading
+# into a failure rather than a hang.
+exec 3<>"/dev/tcp/127.0.0.1/$PORT"
+head -c 65537 /dev/zero | tr '\0' 'x' >&3
+FLOOD_REPLY="$(timeout 10 head -n 1 <&3 || true)"
+exec 3<&- 3>&-
+[ "$FLOOD_REPLY" = "ERR request line longer than 65536 bytes" ] || {
+  echo "overlong line not refused: '$FLOOD_REPLY'"; exit 1; }
+query "PING" | grep -qx "OK pong"
+
 echo "== METRICS: exposition sanity, layer coverage, monotone counters =="
 # Threaded Sharded and Window instances so those layers' series register
 # too (constructors register eagerly - the names show before any traffic).

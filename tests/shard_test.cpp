@@ -21,6 +21,8 @@
 #include <vector>
 
 #include "common/random.h"
+#include "core/hk_topk.h"
+#include "metrics/accuracy.h"
 #include "shard/merge.h"
 #include "shard/partition.h"
 #include "shard/sharded_topk.h"
@@ -98,6 +100,41 @@ TEST(ShardMergeTest, SumByIdCombinesOverlappingLists) {
   }
   EXPECT_EQ(sevens, 2u);
   EXPECT_EQ(MergeTopK({}, 10, MergeMode::kSumById), std::vector<FlowCount>{});
+}
+
+// End-to-end network-wide scenario (examples/network_collector.cpp):
+// traffic is sharded across three "switches" (disjoint views), each
+// running its own HeavyKeeper; the collector's summed top-k must match the
+// global ground truth.
+TEST(ShardMergeTest, NetworkWideTopKFromShardedTraffic) {
+  const Trace trace = MakeCampusTrace(300000, 11);
+  Oracle oracle(trace);
+  constexpr size_t kSwitches = 3;
+  constexpr size_t kK = 50;
+
+  std::vector<std::unique_ptr<HeavyKeeperTopK<>>> switches;
+  for (size_t s = 0; s < kSwitches; ++s) {
+    switches.push_back(HeavyKeeperTopK<>::Builder()
+                           .version(HkVersion::kMinimum)
+                           .memory_bytes(40 * 1024)
+                           .k(2 * kK)
+                           .key_kind(KeyKind::kFiveTuple13B)
+                           .seed(s + 1)
+                           .Build());
+  }
+  // Shard deterministically by flow id (as an ECMP-style splitter would).
+  for (const FlowId id : trace.packets) {
+    switches[id % kSwitches]->Insert(id);
+  }
+
+  std::vector<std::vector<FlowCount>> reports;
+  for (const auto& sw : switches) {
+    reports.push_back(sw->TopK(2 * kK));
+  }
+  const auto combined = MergeTopK(reports, kK, MergeMode::kSumById);
+  const auto accuracy = EvaluateTopK(combined, oracle, kK);
+  EXPECT_GE(accuracy.precision, 0.9);
+  EXPECT_LE(accuracy.are, 0.05);
 }
 
 TEST(ShardedTopKTest, RejectsDegenerateSpecs) {

@@ -213,7 +213,10 @@ TEST(SimdHashBytes, BatchMatchesScalarForEveryLength) {
   }
 }
 
-TEST(SimdHashBytes, DeferredIdDerivationMatchesReader) {
+TEST(SimdHashBytes, NextBatchMatchesNextRecordForRecord) {
+  // NextBatch hashes the ids of a whole burst lane-parallel; every record,
+  // id included, must equal what Next() yields one at a time. Bursts of 63,
+  // 64 and 65 straddle the 64-record hash chunk.
   for (const auto& [path, policy] :
        std::vector<std::pair<std::string, PcapKeyPolicy>>{
            {CampusFixture(), PcapKeyPolicy::kFiveTuple},
@@ -229,19 +232,26 @@ TEST(SimdHashBytes, DeferredIdDerivationMatchesReader) {
     }
     ASSERT_FALSE(expected.empty());
 
-    PcapReader deferred(policy);
-    ASSERT_TRUE(deferred.Open(path)) << deferred.error();
-    deferred.set_defer_ids(true);
-    std::vector<PacketRecord> records;
-    while (deferred.Next(&record)) {
-      EXPECT_EQ(record.id, 0u);
-      records.push_back(record);
-    }
-    ASSERT_EQ(records.size(), expected.size());
-    DerivePacketIds(policy, records.data(), records.size());
-    for (size_t i = 0; i < records.size(); ++i) {
-      ASSERT_EQ(records[i].id, expected[i].id)
-          << PcapKeyPolicyName(policy) << " packet " << i;
+    for (const size_t burst : {1, 63, 64, 65, 512}) {
+      PcapReader batched(policy);
+      ASSERT_TRUE(batched.Open(path)) << batched.error();
+      std::vector<PacketRecord> records;
+      std::vector<PacketRecord> buffer(burst);
+      for (size_t n = batched.NextBatch(buffer); n > 0; n = batched.NextBatch(buffer)) {
+        records.insert(records.end(), buffer.begin(), buffer.begin() + n);
+      }
+      EXPECT_TRUE(batched.ok()) << batched.error();
+      EXPECT_EQ(batched.stats().packets, eager.stats().packets);
+      ASSERT_EQ(records.size(), expected.size()) << "burst " << burst;
+      for (size_t i = 0; i < records.size(); ++i) {
+        const PacketRecord& got = records[i];
+        const PacketRecord& want = expected[i];
+        ASSERT_EQ(got.id, want.id)
+            << PcapKeyPolicyName(policy) << " burst " << burst << " packet " << i;
+        ASSERT_EQ(got.timestamp_ns, want.timestamp_ns) << "packet " << i;
+        ASSERT_EQ(got.wire_len, want.wire_len) << "packet " << i;
+        ASSERT_EQ(got.tuple, want.tuple) << "packet " << i;
+      }
     }
   }
 }

@@ -155,6 +155,28 @@ TEST(WindowRingTest, EpochCallbackDeliversEachCompletedWindow) {
   EXPECT_TRUE(reports[3].second.empty());
 }
 
+TEST(WindowRingTest, InsertWeightedCountsPacketsNotUnits) {
+  // The byte-weighted replay shape on a one-slot ring: 100 packets of 100
+  // units each close one epoch of 100 packets, whatever the weights...
+  std::vector<std::vector<FlowCount>> reports;
+  WindowedTopKOptions options;
+  options.window_epochs = 1;
+  options.epoch_packets = 100;
+  options.inner_spec = "HK-Minimum";
+  WindowedTopK ring(options, TestDefaults(), [&](uint64_t, std::vector<FlowCount> report) {
+    reports.push_back(std::move(report));
+  });
+  for (int i = 0; i < 100; ++i) {
+    ring.InsertWeighted(42, 100);
+  }
+  ASSERT_EQ(ring.completed_epochs(), 1u);
+  ASSERT_EQ(reports.size(), 1u);
+  ASSERT_FALSE(reports[0].empty());
+  // ...while the report carries the weighted size (10k fits the inner's
+  // default 16-bit counters).
+  EXPECT_EQ(reports[0][0], (FlowCount{42, 10'000}));
+}
+
 TEST(WindowRingTest, InsertBatchSplitsAtEpochBoundariesBitExactly) {
   // Batches that straddle rotation points must land exactly like the
   // scalar path: same rotations, same per-slot contents, same answers.
