@@ -4,7 +4,9 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <iterator>
 #include <string>
+#include <system_error>
 #include <utility>
 
 #include "serve/net.h"
@@ -14,7 +16,10 @@ namespace hk {
 LineServer::LineServer(ServeCore& core) : core_(core) {
   telemetry::Registry& registry = telemetry::Registry::Get();
   tm_connections_ = registry.GetCounter("hk_serve_connections_total",
-                                        "Protocol connections accepted by the listener");
+                                        "Protocol connections accepted and served");
+  tm_connections_refused_ = registry.GetCounter(
+      "hk_serve_connections_refused_total",
+      "Connections closed at accept: past the connection cap, or no thread available");
   tm_protocol_errors_ = registry.GetCounter(
       "hk_serve_protocol_errors_total",
       "Connections that ended mid-request (truncated or overlong line) or on a socket error");
@@ -50,18 +55,18 @@ void LineServer::Stop() {
     acceptor_.join();
   }
   ::close(fd);
-  std::vector<std::thread> clients;
+  std::list<Client> clients;
   {
     std::lock_guard<std::mutex> lock(clients_mu_);
-    for (const int fd : client_fds_) {
-      ::shutdown(fd, SHUT_RDWR);
+    for (const Client& client : clients_) {
+      if (!client.done) {
+        ::shutdown(client.fd, SHUT_RDWR);
+      }
     }
     clients.swap(clients_);
   }
-  for (auto& t : clients) {
-    if (t.joinable()) {
-      t.join();
-    }
+  for (Client& client : clients) {
+    client.thread.join();
   }
 }
 
@@ -81,14 +86,55 @@ void LineServer::AcceptLoop() {
     // No TCP_NODELAY here, on purpose: with Nagle on, the replies to a
     // pipelined burst coalesce, which measured faster end to end (README,
     // "Running as a service").
-    tm_connections_->Add();
-    std::lock_guard<std::mutex> lock(clients_mu_);
-    client_fds_.push_back(fd);
-    clients_.emplace_back([this, fd] { ServeConnection(fd); });
+    Admit(fd);
   }
 }
 
-void LineServer::ServeConnection(int fd) {
+void LineServer::Admit(int fd) {
+  ReapFinished();
+  {
+    std::lock_guard<std::mutex> lock(clients_mu_);
+    if (clients_.size() < kMaxConnections) {
+      // The new thread marks its node done under clients_mu_, so it cannot
+      // finish before its std::thread is stored.
+      Client& client = clients_.emplace_back();
+      client.fd = fd;
+      try {
+        client.thread = std::thread(&LineServer::ServeConnection, this, &client);
+        tm_connections_->Add();
+        return;
+      } catch (const std::system_error&) {
+        clients_.pop_back();  // out of threads: refuse like a full house
+      }
+    }
+  }
+  tm_connections_refused_->Add();
+  const std::string reply =
+      "ERR too many connections (limit " + std::to_string(kMaxConnections) + ")\n";
+  WriteAll(fd, reply.data(), reply.size());
+  ::close(fd);
+}
+
+void LineServer::ReapFinished() {
+  std::list<Client> finished;
+  {
+    std::lock_guard<std::mutex> lock(clients_mu_);
+    for (auto it = clients_.begin(); it != clients_.end();) {
+      const auto next = std::next(it);
+      if (it->done) {
+        finished.splice(finished.end(), clients_, it);
+      }
+      it = next;
+    }
+  }
+  // Outside the lock: a finished thread may still be closing its fd.
+  for (Client& client : finished) {
+    client.thread.join();
+  }
+}
+
+void LineServer::ServeConnection(Client* client) {
+  const int fd = client->fd;
   std::string carry;
   std::string line;
   while (!stopping_.load(std::memory_order_acquire)) {
@@ -125,15 +171,10 @@ void LineServer::ServeConnection(int fd) {
     }
   }
   {
-    // Forget the fd before closing so Stop() never shutdown()s a number
-    // the OS has already handed to someone else.
+    // Done before closing, so Stop() never shutdown()s a number the OS has
+    // already handed to someone else.
     std::lock_guard<std::mutex> lock(clients_mu_);
-    for (auto it = client_fds_.begin(); it != client_fds_.end(); ++it) {
-      if (*it == fd) {
-        client_fds_.erase(it);
-        break;
-      }
-    }
+    client->done = true;
   }
   ::close(fd);
 }

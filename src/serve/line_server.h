@@ -1,24 +1,31 @@
-// LineServer: the hk_serve wire transport. Listens on 127.0.0.1, accepts
-// any number of clients (one thread each - protocol connections are few
-// and long-lived), reads newline-delimited request lines, and answers each
-// with ServeCore::Execute()'s response. Two connection-level verbs are
-// handled here rather than in the core: QUIT closes the connection, and
-// SHUTDOWN asks the whole daemon to exit (the binary polls
-// shutdown_requested()).
+// LineServer: the hk_serve wire transport. Listens on 127.0.0.1, serves up
+// to kMaxConnections clients at once (one thread each - protocol
+// connections are few and long-lived), reads newline-delimited request
+// lines, and answers each with ServeCore::Execute()'s response. A client
+// past the cap, or one no thread can be started for, reads "ERR too many
+// connections (limit 256)" and is closed. A finished connection's thread
+// is joined at the latest when the next client is accepted. Two
+// connection-level verbs are handled here rather than in the core: QUIT
+// closes the connection, and SHUTDOWN asks the whole daemon to exit (the
+// binary polls shutdown_requested()).
 #ifndef HK_SERVE_LINE_SERVER_H_
 #define HK_SERVE_LINE_SERVER_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "serve/serve_core.h"
 #include "telemetry/telemetry.h"
 
 namespace hk {
+
+// Open connections one LineServer serves at once.
+inline constexpr size_t kMaxConnections = 256;
 
 class LineServer {
  public:
@@ -39,8 +46,20 @@ class LineServer {
   }
 
  private:
+  struct Client {
+    int fd = -1;
+    // Set by the client's own thread, under clients_mu_, before it closes
+    // fd: Stop() then leaves the fd alone and the acceptor joins the thread.
+    bool done = false;
+    std::thread thread;
+  };
+
   void AcceptLoop();
-  void ServeConnection(int fd);
+  // Serve `fd` on a new thread, or refuse it with an ERR line.
+  void Admit(int fd);
+  // Join the threads of every client that has finished.
+  void ReapFinished();
+  void ServeConnection(Client* client);
 
   ServeCore& core_;
   std::atomic<int> listen_fd_{-1};
@@ -49,10 +68,10 @@ class LineServer {
   std::atomic<bool> stopping_{false};
   std::atomic<bool> shutdown_requested_{false};
   std::mutex clients_mu_;
-  std::vector<std::thread> clients_;
-  std::vector<int> client_fds_;
+  std::list<Client> clients_;  // a list: each thread holds its node's address
 
   telemetry::Counter* tm_connections_;
+  telemetry::Counter* tm_connections_refused_;
   // Connections that ended mid-request (EOF with a partial line buffered)
   // or on a socket error - never bumped for a clean QUIT/EOF.
   telemetry::Counter* tm_protocol_errors_;

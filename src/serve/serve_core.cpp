@@ -1,9 +1,11 @@
 #include "serve/serve_core.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -92,6 +94,30 @@ bool ReplayableSource(const std::string& source) {
   return source != "-" && source.rfind("tcp://", 0) != 0;
 }
 
+// The ingest thread's wall time, cut at stage boundaries: Charge() adds
+// the time since the previous boundary to one stage's *_us_total counter,
+// so the stages tile the thread's time. Each stage carries its
+// sub-microsecond remainder instead of truncating it at every burst.
+class StageClock {
+ public:
+  struct Stage {
+    telemetry::Counter* total_us;
+    uint64_t carry_ns = 0;
+  };
+
+  void Charge(Stage* stage) {
+    const auto now = std::chrono::steady_clock::now();
+    const std::chrono::nanoseconds elapsed = now - last_;
+    last_ = now;
+    stage->carry_ns += static_cast<uint64_t>(elapsed.count());
+    stage->total_us->Add(stage->carry_ns / 1000);
+    stage->carry_ns %= 1000;
+  }
+
+ private:
+  std::chrono::steady_clock::time_point last_ = std::chrono::steady_clock::now();
+};
+
 // SaveState writes a little more than MemoryBytes() charges (headers,
 // length slots, candidate entries); reserving this much on top lets one
 // allocation hold a whole state blob.
@@ -135,8 +161,6 @@ ServeCore::ServeCore(ServeOptions options) : options_(std::move(options)) {
                                                 "Checkpoint attempts that failed");
   tm_instances_recovered_ = registry.GetCounter(
       "hk_serve_instances_recovered_total", "Instances rebuilt from a checkpoint at startup");
-  tm_burst_packets_ = registry.GetHistogram(
-      "hk_ingest_burst_packets", "Records applied per ingest burst (one InsertBatch call)");
   // Eager per-verb registration: the full catalog shows up in METRICS
   // before any request has been served.
   for (const char* verb : {"CREATE", "DROP", "ATTACH", "LIST", "TOPK", "POINT", "STATS",
@@ -236,23 +260,39 @@ bool ServeCore::Drop(const std::string& name, std::string* err) {
 
 bool ServeCore::Attach(const std::string& name, const SourceBinding& binding,
                        std::string* err) {
-  std::lock_guard<std::mutex> lock(map_mu_);
-  Instance* inst = FindLocked(name);
-  if (inst == nullptr) {
-    *err = "no instance named '" + name + "'";
-    return false;
-  }
-  if (inst->attached) {
-    *err = "instance '" + name + "' already has a source";
-    return false;
-  }
-  // Validate the source up front so ATTACH fails loudly instead of the
-  // ingest thread dying silently. The thread re-opens its own reader.
+  const auto attachable = [&]() -> Instance* {
+    Instance* inst = FindLocked(name);
+    if (inst == nullptr) {
+      *err = "no instance named '" + name + "'";
+    } else if (inst->attached) {
+      *err = "instance '" + name + "' already has a source";
+      return nullptr;
+    }
+    return inst;
+  };
   {
-    PcapReader probe(binding.policy);
-    if (ReplayableSource(binding.source) && !OpenSource(probe, binding, err)) {
+    // Refuse an unknown name or a second source before reading anything.
+    std::lock_guard<std::mutex> lock(map_mu_);
+    if (attachable() == nullptr) {
       return false;
     }
+  }
+  // Open a replayable source here, with the map unlocked: a slurp takes as
+  // long as the file is big, a FIFO's open waits for its writer, and every
+  // verb on every instance needs map_mu_. This read is the only one; the
+  // ingest thread applies from this reader.
+  std::unique_ptr<PcapReader> reader;
+  if (ReplayableSource(binding.source)) {
+    reader = std::make_unique<PcapReader>(binding.policy);
+    if (!OpenSource(*reader, binding, err)) {
+      return false;
+    }
+  }
+  std::lock_guard<std::mutex> lock(map_mu_);
+  // The instance may have been dropped, or given a source, during the read.
+  Instance* inst = attachable();
+  if (inst == nullptr) {
+    return false;
   }
   {
     // Under mu as well as map_mu_: WriteCheckpoint reads the binding under
@@ -276,83 +316,107 @@ bool ServeCore::Attach(const std::string& name, const SourceBinding& binding,
     inst->tm_source_wait_us = registry.GetCounter(
         "hk_ingest_source_wait_us_total",
         "Microseconds the ingest thread spent reading and parsing its source", labels);
+    inst->tm_lock_wait_us = registry.GetCounter(
+        "hk_ingest_lock_wait_us_total",
+        "Microseconds the ingest thread waited for its instance lock", labels);
+    inst->tm_apply_us = registry.GetCounter(
+        "hk_ingest_apply_us_total",
+        "Microseconds the ingest thread spent applying bursts to its sketch", labels);
+    inst->tm_burst_packets = registry.GetHistogram(
+        "hk_ingest_burst_packets", "Records applied per ingest burst (one InsertBatch call)",
+        labels);
   }
+  // A failed re-attach at recovery may have left an error behind. No reader
+  // can be looking at it: they hold map_mu_, and so does this.
+  inst->ingest_error.clear();
   inst->ingest_done.store(false, std::memory_order_release);
-  inst->ingest = std::thread([this, inst] { IngestLoop(inst); });
+  inst->ingest = std::thread(&ServeCore::IngestLoop, this, inst, std::move(reader));
   return true;
 }
 
-void ServeCore::IngestLoop(Instance* inst) {
-  PcapReader reader(inst->binding.policy);
-  std::string err;
-  if (!OpenSource(reader, inst->binding, &err)) {
-    inst->ingest_error = err;
+void ServeCore::IngestLoop(Instance* inst, std::unique_ptr<PcapReader> reader) {
+  // The three stages run in turn and every boundary is charged once, so
+  // source wait + lock wait + apply is the thread's wall time.
+  StageClock clock;
+  StageClock::Stage source{inst->tm_source_wait_us};
+  StageClock::Stage lock_wait{inst->tm_lock_wait_us};
+  StageClock::Stage apply{inst->tm_apply_us};
+  const auto finish = [&](std::string error) {
+    clock.Charge(&source);
+    inst->ingest_error = std::move(error);
     inst->ingest_done.store(true, std::memory_order_release);
-    return;
-  }
-  // Recovery: the checkpointed prefix is already in the sketch.
-  PacketRecord record;
-  for (uint64_t skipped = 0; skipped < inst->binding.skip_packets; ++skipped) {
-    if (!reader.Next(&record)) {
-      inst->ingest_error = reader.ok() ? "" : reader.error();
-      inst->ingest_done.store(true, std::memory_order_release);
+  };
+  const SourceBinding& binding = inst->binding;
+  if (reader == nullptr) {
+    reader = std::make_unique<PcapReader>(binding.policy);
+    std::string err;
+    if (!OpenSource(*reader, binding, &err)) {
+      finish(err);
       return;
     }
   }
-  std::vector<FlowId> ids;
-  std::vector<uint64_t> weights;
-  ids.reserve(options_.ingest_batch);
-  weights.reserve(options_.ingest_batch);
-  const bool weighted = inst->binding.byte_weighted;
+  std::vector<PacketRecord> records(options_.ingest_batch);
+  // Recovery: the checkpointed prefix is already in the sketch. The last
+  // skip burst may be shorter than a full one.
+  for (uint64_t left = binding.skip_packets; left > 0;) {
+    const size_t want = static_cast<size_t>(std::min<uint64_t>(left, records.size()));
+    const size_t got = reader->NextBatch(std::span<PacketRecord>(records.data(), want));
+    if (got == 0) {
+      finish(reader->error());
+      return;
+    }
+    left -= got;
+  }
+  const bool weighted = binding.byte_weighted;
+  std::vector<FlowId> ids(records.size());
+  std::vector<uint64_t> weights(weighted ? records.size() : 0);
   const auto malformed_of = [](const IngestStats& s) {
     return s.skipped_non_ip + s.skipped_truncated + s.skipped_other;
   };
-  uint64_t malformed_seen = malformed_of(reader.stats());
+  uint64_t malformed_seen = malformed_of(reader->stats());
   bool more = true;
   while (more && !inst->stop_ingest.load(std::memory_order_acquire)) {
-    ids.clear();
-    weights.clear();
-    uint64_t burst_bytes = 0;
-    {
-      // Source-stall time: everything between bursts is waiting on (and
-      // parsing) the capture source, the number that tells an operator the
-      // pipe, not the sketch, is the bottleneck.
-      const telemetry::ScopedTimer wait(nullptr, inst->tm_source_wait_us);
-      while (ids.size() < options_.ingest_batch && (more = reader.Next(&record))) {
-        ids.push_back(record.id);
-        if (weighted) {
-          weights.push_back(record.wire_len);
-        }
-        burst_bytes += record.wire_len;
-      }
-    }
-    if (ids.empty()) {
+    // Source wait: reading and parsing the capture, the number that tells
+    // an operator the pipe, not the sketch, is the bottleneck. NextBatch
+    // returns a short burst only at the end of the stream.
+    const size_t n = reader->NextBatch(records);
+    more = n == records.size();
+    if (n == 0) {
       break;
     }
-    tm_burst_packets_->Observe(ids.size());
+    uint64_t burst_bytes = 0;
+    for (size_t i = 0; i < n; ++i) {
+      ids[i] = records[i].id;
+      if (weighted) {
+        weights[i] = records[i].wire_len;
+      }
+      burst_bytes += records[i].wire_len;
+    }
+    clock.Charge(&source);
     {
       // The applied-offset pair (sketch state, packets_applied) moves
       // under the instance lock, which is what lets a checkpoint taken
       // between bursts record a consistent cut of the stream.
       std::lock_guard<std::mutex> lock(inst->mu);
+      clock.Charge(&lock_wait);
+      const std::span<const FlowId> burst(ids.data(), n);
       if (weighted) {
-        inst->algo->InsertBatch(ids, weights);
+        inst->algo->InsertBatch(burst, std::span<const uint64_t>(weights.data(), n));
       } else {
-        inst->algo->InsertBatch(ids);
+        inst->algo->InsertBatch(burst);
       }
-      inst->packets_applied += ids.size();
+      inst->packets_applied += n;
       inst->wire_bytes_applied += burst_bytes;
     }
-    inst->tm_packets->Add(ids.size());
+    inst->tm_burst_packets->Observe(n);
+    inst->tm_packets->Add(n);
     inst->tm_bytes->Add(burst_bytes);
-    const uint64_t malformed_now = malformed_of(reader.stats());
+    const uint64_t malformed_now = malformed_of(reader->stats());
     inst->tm_malformed->Add(malformed_now - malformed_seen);
     malformed_seen = malformed_now;
+    clock.Charge(&apply);
   }
-  if (!reader.ok()) {
-    inst->ingest_error = reader.error();
-  }
-  inst->ingest_done.store(true, std::memory_order_release);
+  finish(reader->error());
 }
 
 void ServeCore::DrainIngest() {
@@ -488,8 +552,10 @@ bool ServeCore::Recover(size_t* recovered, std::string* err) {
       std::string attach_err;
       if (!Attach(entry.name, binding, &attach_err)) {
         // The sketch state recovered; a vanished source should not brick
-        // the daemon. Surface it through the instance's ingest_error.
+        // the daemon. Surface it through the instance's ingest_error, which
+        // STATS and LIST read once ingest_done is set.
         raw->ingest_error = attach_err;
+        raw->ingest_done.store(true, std::memory_order_release);
       }
     }
     tm_instances_recovered_->Add();
@@ -566,7 +632,7 @@ std::string ServeCore::CmdList() {
     }
     out += "INSTANCE " + name + " " + inst->spec + " packets=" + std::to_string(packets) +
            " source=" + (inst->attached ? inst->binding.source : "none");
-    if (!inst->ingest_error.empty() && inst->ingest_done.load(std::memory_order_acquire)) {
+    if (inst->ingest_done.load(std::memory_order_acquire) && !inst->ingest_error.empty()) {
       out += " ingest_error=1";
     }
     out += "\n";
@@ -734,9 +800,10 @@ std::string ServeCore::CmdStats(const std::vector<std::string>& args) {
   out += "STAT wire_bytes_applied " + std::to_string(wire_bytes) + "\n";
   out += "STAT memory_bytes " + std::to_string(memory) + "\n";
   out += "STAT source " + (inst->attached ? inst->binding.source : "none") + "\n";
-  out += "STAT ingest_done " +
-         std::to_string(inst->ingest_done.load(std::memory_order_acquire) ? 1 : 0) + "\n";
-  if (!inst->ingest_error.empty()) {
+  // The ingest thread writes ingest_error just before it sets ingest_done.
+  const bool done = inst->ingest_done.load(std::memory_order_acquire);
+  out += std::string("STAT ingest_done ") + (done ? "1" : "0") + "\n";
+  if (done && !inst->ingest_error.empty()) {
     out += "STAT ingest_error " + inst->ingest_error + "\n";
   }
   out += "END\n";

@@ -34,10 +34,14 @@
 //   Anything else                 ERR <diagnostic>
 //
 // <name> may be omitted from TOPK/POINT/STATS when exactly one instance
-// exists (the single-tenant convenience the ISSUE grammar shows). <source>
-// is a capture path, "-" for stdin, or "tcp://host:port" for a socket
-// streaming pcap bytes; files are slurped unless larger-than-memory
-// streaming is forced with "stream:" prefix, pipes/sockets always stream.
+// exists (the single-tenant convenience). <source> is a capture path, "-"
+// for stdin, or "tcp://host:port" for a socket streaming pcap bytes; files
+// are slurped unless larger-than-memory streaming is forced with the
+// "stream:" prefix, pipes/sockets always stream. ATTACH opens a file source
+// once, without map_mu_ (no other verb waits for the read), and hands the
+// open reader to the instance's ingest thread, which starts applying at
+// once. "-" and tcp:// sources are opened by the thread itself: their
+// header read waits on the peer, and ATTACH does not.
 //
 // Concurrency: every instance carries its own mutex serializing its
 // ingest thread against queries and checkpoints. A TOPK ... relaxed on an
@@ -142,13 +146,21 @@ class ServeCore {
     std::thread ingest;
     std::atomic<bool> stop_ingest{false};
     std::atomic<bool> ingest_done{false};
-    std::string ingest_error;  // set by the ingest thread before ingest_done
+    // Written before the release store that sets ingest_done (by the ingest
+    // thread, or by Recover when the source cannot be re-attached), and
+    // cleared by Attach under map_mu_. Read it only under map_mu_ and after
+    // an acquire load of ingest_done returned true.
+    std::string ingest_error;
 
-    // instance="<name>" series, registered when the source attaches.
+    // instance="<name>" series, registered when the source attaches. The
+    // three *_us counters tile the ingest thread's wall time.
     telemetry::Counter* tm_packets = nullptr;
     telemetry::Counter* tm_bytes = nullptr;
     telemetry::Counter* tm_malformed = nullptr;
     telemetry::Counter* tm_source_wait_us = nullptr;
+    telemetry::Counter* tm_lock_wait_us = nullptr;
+    telemetry::Counter* tm_apply_us = nullptr;
+    telemetry::Histogram* tm_burst_packets = nullptr;
   };
 
   // map_mu_ guards the map shape (create/drop/lookup); per-instance mu
@@ -158,7 +170,9 @@ class ServeCore {
   // Resolve a possibly-omitted instance name (single-tenant convenience).
   Instance* Resolve(const std::string& name, std::string* err);
 
-  void IngestLoop(Instance* inst);
+  // The ingest thread. `reader` is the source Attach opened, or null for
+  // "-" and tcp://, which the thread opens itself.
+  void IngestLoop(Instance* inst, std::unique_ptr<PcapReader> reader);
 
   std::string CmdCreate(const std::vector<std::string>& args);
   std::string CmdDrop(const std::vector<std::string>& args);
@@ -194,7 +208,6 @@ class ServeCore {
   telemetry::Counter* tm_checkpoints_;
   telemetry::Counter* tm_checkpoint_failures_;
   telemetry::Counter* tm_instances_recovered_;
-  telemetry::Histogram* tm_burst_packets_;
 };
 
 // Parse "key=5tuple|pair|src" / "bytes" attach arguments into a binding.

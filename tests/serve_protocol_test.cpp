@@ -1,14 +1,24 @@
 // hk_serve line-protocol tests: ServeCore::Execute() verb coverage
 // (multi-tenancy, the single-tenant name-omission convenience, relaxed vs
-// exact TOPK, ingest from a synthesized capture) and the LineServer TCP
-// transport end to end over loopback.
+// exact TOPK, ingest from a synthesized capture, the one-read ATTACH and
+// the ingest stage timers) and the LineServer TCP transport end to end
+// over loopback, including its connection cap.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -168,6 +178,118 @@ TEST(ServeProtocol, AttachErrors) {
   core.DrainIngest();
 }
 
+// ATTACH reads a file source without the map lock. A FIFO's open blocks
+// until a writer appears, so while ATTACH waits in it, verbs on another
+// instance must still answer.
+TEST(ServeProtocol, AttachReadsAFifoWithoutTheMapLock) {
+  const std::string fifo = TempPath("serve_fifo_" + std::to_string(::getpid()));
+  std::remove(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
+  ServeCore core(SmallOptions());
+  ASSERT_EQ(core.Execute("CREATE waiting HK"), "OK created waiting\n");
+  ASSERT_EQ(core.Execute("CREATE other HK"), "OK created other\n");
+  std::string attach_reply;
+  std::thread attach([&] { attach_reply = core.Execute("ATTACH waiting " + fifo); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // ATTACH reaches the open
+  auto queries = std::async(std::launch::async, [&] {
+    return core.Execute("LIST") + core.Execute("TOPK other 5");
+  });
+  const bool answered = queries.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  // Open and close a writer: ATTACH's open returns, finds no capture
+  // header, and answers ERR.
+  const int writer = ::open(fifo.c_str(), O_WRONLY);
+  EXPECT_GE(writer, 0) << std::strerror(errno);
+  ::close(writer);
+  attach.join();
+  EXPECT_TRUE(answered) << "LIST and TOPK waited for ATTACH's read";
+  const std::string replies = queries.get();
+  EXPECT_NE(replies.find("INSTANCE other "), std::string::npos) << replies;
+  EXPECT_NE(replies.find("END consistency=exact"), std::string::npos) << replies;
+  EXPECT_EQ(attach_reply.rfind("ERR ", 0), 0u) << attach_reply;
+  // The failed ATTACH left the instance free for a working source.
+  EXPECT_NE(core.Execute("STATS waiting").find("STAT source none\n"), std::string::npos);
+  std::remove(fifo.c_str());
+}
+
+// A capture torn mid-record: the ingest thread applies every whole record,
+// then stops with the parser's diagnostic. LIST and STATS are polled while
+// it runs and read ingest_error only once ingest_done is set (under TSan,
+// an unordered read is a data race against the ingest thread's write; a
+// LIST that reads the error before it has seen ingest_done is one).
+TEST(ServeProtocol, TornCaptureReportsIngestErrorOnceDone) {
+  const std::string path = TempPath("serve_torn_" + std::to_string(::getpid()) + ".pcap");
+  const Trace trace = SynthesizeCapture(CampusConfig(50000, 17), path, CaptureSynthOptions{});
+  ASSERT_FALSE(trace.packets.empty());
+  // Cut 10 bytes off the last frame: its record header still promises them.
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 10);
+
+  ServeCore core(SmallOptions());
+  ASSERT_EQ(core.Execute("CREATE torn HK"), "OK created torn\n");
+  ASSERT_EQ(core.Execute("ATTACH torn " + path), "OK attached torn\n");
+  std::string stats;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  do {
+    core.Execute("LIST");
+    stats = core.Execute("STATS torn");
+  } while (stats.find("STAT ingest_done 1\n") == std::string::npos &&
+           std::chrono::steady_clock::now() < deadline);
+  EXPECT_NE(stats.find("STAT ingest_done 1\n"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("STAT ingest_error record caplen overruns the file\n"), std::string::npos)
+      << stats;
+  EXPECT_NE(core.Execute("LIST").find(" ingest_error=1\n"), std::string::npos);
+  EXPECT_EQ(core.PacketsApplied("torn"), trace.packets.size() - 1);
+  std::remove(path.c_str());
+}
+
+// The three ingest stage counters tile the ingest thread's time: together
+// they cover at least 90% of the wall time from Attach returning to the
+// drain. The thread starts inside Attach, and a caller descheduled after
+// that start reads its clock late (by 4.5 ms once under ctest -j8), so the
+// upper bound is the wall time from the Attach call.
+TEST(ServeProtocol, IngestStageTimersAddUpToWallTime) {
+  if (!telemetry::Registry::Enabled()) {
+    GTEST_SKIP() << "telemetry is off: the stage counters do not move";
+  }
+  const std::string path = TempPath("serve_timed_" + std::to_string(::getpid()) + ".pcap");
+  constexpr uint64_t kPackets = 500000;
+  const Trace trace = SynthesizeCapture(CampusConfig(kPackets, 23), path, CaptureSynthOptions{});
+  ASSERT_EQ(trace.packets.size(), kPackets);
+  ServeCore core(SmallOptions());
+  std::string err;
+  ASSERT_TRUE(core.Create("timed", "HK", &err)) << err;
+  SourceBinding binding;
+  binding.source = path;
+  const auto called = std::chrono::steady_clock::now();
+  ASSERT_TRUE(core.Attach("timed", binding, &err)) << err;
+  const auto attached = std::chrono::steady_clock::now();
+  core.DrainIngest();
+  const auto drained = std::chrono::steady_clock::now();
+  const auto us = [](auto elapsed) {
+    return std::chrono::duration<double, std::micro>(elapsed).count();
+  };
+  const double wall_us = us(drained - attached);
+  ASSERT_EQ(core.PacketsApplied("timed"), kPackets);
+
+  telemetry::Registry& registry = telemetry::Registry::Get();
+  const std::string label = "instance=\"timed\"";
+  const auto counter = [&](const char* name) {
+    return static_cast<double>(registry.GetCounter(name, "", label)->Value());
+  };
+  const double source = counter("hk_ingest_source_wait_us_total");
+  const double lock_wait = counter("hk_ingest_lock_wait_us_total");
+  const double apply = counter("hk_ingest_apply_us_total");
+  const double stages = source + lock_wait + apply;
+  EXPECT_GE(stages, 0.9 * wall_us) << "apply " << apply << " lock wait " << lock_wait;
+  EXPECT_LE(stages, us(drained - called)) << "apply " << apply << " lock wait " << lock_wait;
+  EXPECT_GT(apply, 0.0);
+  // The burst histogram carries the instance label too: one observation
+  // per burst of up to ingest_batch records.
+  const size_t batch = core.options().ingest_batch;
+  EXPECT_EQ(registry.GetHistogram("hk_ingest_burst_packets", "", label)->Count(),
+            (kPackets + batch - 1) / batch);
+  std::remove(path.c_str());
+}
+
 TEST(ServeProtocol, RelaxedTopKOnThreadedShardedInstance) {
   const Fixture& fx = CampusCapture();
   ServeOptions options = SmallOptions();
@@ -321,6 +443,99 @@ TEST(LineServerTest, ServesProtocolOverLoopback) {
   EXPECT_EQ(down[0], "OK shutting down");
   EXPECT_TRUE(server.shutdown_requested());
   ::close(fd);
+  server.Stop();
+}
+
+int64_t VmSizeKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) {
+      return std::stoll(line.substr(7));
+    }
+  }
+  return -1;
+}
+
+// A connection's thread is joined once it finishes (at the latest on the
+// next accept), so a long run of short connections does not keep a stack
+// mapped per connection.
+TEST(LineServerTest, FinishedConnectionsAreReaped) {
+  ServeCore core(SmallOptions());
+  LineServer server(core);
+  std::string err;
+  ASSERT_TRUE(server.Start(0, &err)) << err;
+  const int64_t before_kb = VmSizeKb();
+  ASSERT_GT(before_kb, 0);
+  for (int cycle = 0; cycle < 1000; ++cycle) {
+    const int fd = ConnectTcp("127.0.0.1", server.port(), &err);
+    ASSERT_GE(fd, 0) << err;
+    std::string carry;
+    const auto bye = Request(fd, &carry, "QUIT");
+    ::close(fd);
+    ASSERT_EQ(bye, std::vector<std::string>{"OK bye"}) << "cycle " << cycle;
+  }
+  const int64_t grown_kb = VmSizeKb() - before_kb;
+  EXPECT_LT(grown_kb, 1024 * 1024) << "VmSize grew " << grown_kb << " kB over 1000 connections";
+  server.Stop();
+}
+
+// Past kMaxConnections open connections a new client reads one ERR line
+// and is closed. Once a connection ends, a new client is served again.
+TEST(LineServerTest, ConnectionsPastTheCapAreRefused) {
+  ServeCore core(SmallOptions());
+  LineServer server(core);
+  std::string err;
+  ASSERT_TRUE(server.Start(0, &err)) << err;
+  const uint64_t refused_before =
+      telemetry::Registry::Get().SumCounter("hk_serve_connections_refused_total");
+  std::vector<int> held;
+  for (size_t i = 0; i < kMaxConnections; ++i) {
+    const int fd = ConnectTcp("127.0.0.1", server.port(), &err);
+    ASSERT_GE(fd, 0) << err;
+    held.push_back(fd);
+    std::string carry;
+    ASSERT_EQ(Request(fd, &carry, "PING"), std::vector<std::string>{"OK pong"})
+        << "connection " << i;
+  }
+
+  const int extra = ConnectTcp("127.0.0.1", server.port(), &err);
+  ASSERT_GE(extra, 0) << err;
+  // A server without the cap serves this client silently: time the read
+  // out instead of hanging.
+  const timeval timeout{5, 0};
+  ASSERT_EQ(::setsockopt(extra, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)), 0);
+  std::string carry;
+  std::string line;
+  ASSERT_EQ(ReadLineEx(extra, &carry, &line), ReadLineStatus::kLine);
+  EXPECT_EQ(line, "ERR too many connections (limit 256)");
+  EXPECT_EQ(ReadLineEx(extra, &carry, &line), ReadLineStatus::kEof);  // server hung up
+  ::close(extra);
+  if (telemetry::Registry::Enabled()) {
+    EXPECT_EQ(telemetry::Registry::Get().SumCounter("hk_serve_connections_refused_total"),
+              refused_before + 1);
+  }
+
+  // One connection leaves. Its thread notices the close on its own, so
+  // retry for up to 1 s until a new client is served.
+  ::close(held.back());
+  held.pop_back();
+  bool served = false;
+  for (int attempt = 0; attempt < 100 && !served; ++attempt) {
+    const int fd = ConnectTcp("127.0.0.1", server.port(), &err);
+    ASSERT_GE(fd, 0) << err;
+    std::string retry_carry;
+    WriteAll(fd, "PING\n", 5);
+    served = ReadLine(fd, &retry_carry, &line) && line == "OK pong";
+    ::close(fd);
+    if (!served) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  EXPECT_TRUE(served) << "no client served 1 s after a connection closed";
+  for (const int fd : held) {
+    ::close(fd);
+  }
   server.Stop();
 }
 

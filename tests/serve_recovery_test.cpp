@@ -145,6 +145,80 @@ TEST(ServeRecovery, KilledMidIngestRecoversWithZeroLossFromFileSource) {
   EXPECT_EQ(got.substr(0, want.size()), want);
 }
 
+// The recovery skip reads in ingest_batch bursts and must stop exactly at
+// the checkpointed offset when that offset is not a multiple of the batch.
+// The checkpoint is cut by 64-record bursts and the revived daemon reads
+// 100 at a time; the capture's length is a multiple of neither, so even a
+// cut at end of stream leaves the skip's last burst short.
+TEST(ServeRecovery, SkipEndingMidBurstRecoversExactly) {
+  static const Fixture fx("serve_recovery_odd", CampusConfig(120037, 9));
+  const std::string ckpt = TempPath("reco_mid_burst_" + std::to_string(::getpid()) + ".hk");
+  std::remove(ckpt.c_str());
+
+  uint64_t cut = 0;
+  {
+    ServeCore core(OptionsWithCheckpoint(ckpt));
+    std::string err;
+    ASSERT_TRUE(core.Create("t", kSpec, &err)) << err;
+    SourceBinding binding;
+    binding.source = fx.path;
+    ASSERT_TRUE(core.Attach("t", binding, &err)) << err;
+    while (core.PacketsApplied("t") < 2000) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    // Checkpoint again while the cut lands on a 100-record boundary.
+    do {
+      ASSERT_TRUE(core.WriteCheckpoint(&err)) << err;
+      CheckpointManifest m;
+      ASSERT_TRUE(LoadCheckpoint(ckpt, &m, &err)) << err;
+      cut = m.instances[0].packets_applied;
+    } while (cut % 100 == 0);
+  }
+
+  ServeOptions revived_options = OptionsWithCheckpoint(ckpt);
+  revived_options.ingest_batch = 100;
+  ServeCore revived(revived_options);
+  size_t recovered = 0;
+  std::string err;
+  ASSERT_TRUE(revived.Recover(&recovered, &err)) << err;
+  EXPECT_EQ(recovered, 1u);
+  revived.DrainIngest();
+  EXPECT_EQ(revived.PacketsApplied("t"), fx.trace.packets.size()) << "cut " << cut;
+  EXPECT_EQ(revived.Execute("STATS t").find("STAT ingest_error"), std::string::npos);
+
+  // The uninterrupted run's top flows...
+  auto uninterrupted = MakeSketch(kSpec, SmallDefaults());
+  uninterrupted->InsertBatch(fx.trace.packets);
+  std::string want;
+  for (const auto& fc : uninterrupted->TopK(20)) {
+    char line[64];
+    std::snprintf(line, sizeof(line), "FLOW %llx %llu\n",
+                  static_cast<unsigned long long>(fc.id),
+                  static_cast<unsigned long long>(fc.count));
+    want += line;
+  }
+  EXPECT_EQ(revived.Execute("TOPK t 20 exact").substr(0, want.size()), want);
+  // ...and byte-equal state against a sketch that crosses the same
+  // save/load seam at the same cut (LoadState rebuilds Space-Saving's
+  // layout, so only a seam-for-seam reference compares byte for byte).
+  const std::span<const FlowId> packets(fx.trace.packets);
+  auto prefix = MakeSketch(kSpec, SmallDefaults());
+  prefix->InsertBatch(packets.first(cut));
+  std::vector<uint8_t> seam;
+  ASSERT_TRUE(prefix->SaveState(&seam));
+  auto reference = MakeSketch(kSpec, SmallDefaults());
+  ASSERT_TRUE(reference->LoadState(seam.data(), seam.size()));
+  reference->InsertBatch(packets.subspan(cut));
+  std::vector<uint8_t> reference_state;
+  ASSERT_TRUE(reference->SaveState(&reference_state));
+  ASSERT_TRUE(revived.WriteCheckpoint(&err)) << err;
+  CheckpointManifest m;
+  ASSERT_TRUE(LoadCheckpoint(ckpt, &m, &err)) << err;
+  ASSERT_EQ(m.instances.size(), 1u);
+  EXPECT_TRUE(m.instances[0].state == reference_state) << "cut " << cut;
+  std::remove(ckpt.c_str());
+}
+
 TEST(ServeRecovery, WindowedInstanceRecoversRingContentsIntact) {
   // Kill point for the sliding-window ring: checkpoint mid-ingest after
   // several rotations, crash, recover, finish the stream. The checkpoint

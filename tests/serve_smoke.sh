@@ -4,7 +4,9 @@
 # checkpointing on, query it over the socket with hk_cli, SIGKILL it,
 # restart from the checkpoint, and assert the recovered daemon answers
 # identically - the file-backed source replays with the applied prefix
-# skipped, so a kill loses nothing.
+# skipped, so a kill loses nothing. On the way it checks the daemon's
+# limits: an overlong request line, the 256-connection cap, and that
+# thousands of short connections do not grow its address space.
 #
 # usage: tests/serve_smoke.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -79,6 +81,49 @@ exec 3<&- 3>&-
 [ "$FLOOD_REPLY" = "ERR request line longer than 65536 bytes" ] || {
   echo "overlong line not refused: '$FLOOD_REPLY'"; exit 1; }
 query "PING" | grep -qx "OK pong"
+
+echo "== 300 held connections: past 256 a client reads ERR, then service resumes =="
+HELD=()
+for i in $(seq 1 300); do
+  exec {fd}<>"/dev/tcp/127.0.0.1/$PORT"
+  HELD+=("$fd")
+  if [ "$i" -le 256 ]; then
+    printf 'PING\n' >&"$fd"
+    read -r -t 5 LINE <&"$fd" || LINE=""
+    [ "$LINE" = "OK pong" ] || { echo "connection $i not served: '$LINE'"; exit 1; }
+  else
+    read -r -t 5 LINE <&"$fd" || LINE=""
+    [ "$LINE" = "ERR too many connections (limit 256)" ] || {
+      echo "connection $i not refused: '$LINE'"; exit 1; }
+  fi
+done
+for fd in "${HELD[@]}"; do
+  exec {fd}>&-
+done
+REFUSED="$("$HK_CLI" metrics --port "$PORT" hk_serve_connections_refused_total |
+  sed -n 's/^hk_serve_connections_refused_total //p')"
+[ "${REFUSED:-0}" -ge 44 ] || { echo "refused counter at '${REFUSED}', want >= 44"; exit 1; }
+# Each connection's thread notices its close on its own: retry briefly.
+SERVED=""
+for _ in $(seq 1 50); do
+  if query "PING" 2>/dev/null | grep -qx "OK pong"; then SERVED=1; break; fi
+  sleep 0.1
+done
+[ -n "$SERVED" ] || { echo "no PING answer after the held connections closed"; exit 1; }
+
+echo "== 2000 connect/QUIT cycles: the daemon's VmSize stays put =="
+vmsize_kb() { awk '/^VmSize:/ { print $2 }' "/proc/$SERVE_PID/status"; }
+VM_BEFORE="$(vmsize_kb)"
+for i in $(seq 1 2000); do
+  exec {fd}<>"/dev/tcp/127.0.0.1/$PORT"
+  printf 'QUIT\n' >&"$fd"
+  read -r -t 5 LINE <&"$fd" || LINE=""
+  exec {fd}>&-
+  [ "$LINE" = "OK bye" ] || { echo "cycle $i: '$LINE'"; exit 1; }
+done
+VM_GROWTH_KB=$(( $(vmsize_kb) - VM_BEFORE ))
+[ "$VM_GROWTH_KB" -lt 1048576 ] || {
+  echo "VmSize grew $VM_GROWTH_KB kB over 2000 connections"; exit 1; }
 
 echo "== METRICS: exposition sanity, layer coverage, monotone counters =="
 # Threaded Sharded and Window instances so those layers' series register
