@@ -34,10 +34,7 @@ HeavyKeeper::HeavyKeeper(const HeavyKeeperConfig& config)
   config_.max_arrays = std::min(config_.max_arrays, kMaxPreparedArrays);
   config_.d = std::min(config_.d, kMaxPreparedArrays);
   config_.fingerprint_bits = std::clamp(config_.fingerprint_bits, 1u, 32u);
-  // Prepared handles store absolute slab word indices in uint32_t: cap w so
-  // even a fully expanded sketch stays addressable (the cap is ~536M
-  // buckets per array, far past any realistic byte budget).
-  config_.w = std::min<size_t>(config_.w, (uint64_t{1} << 32) / kMaxPreparedArrays);
+  config_.w = std::min(config_.w, kMaxWidth);
   counter_bits_eff_ = config_.CounterFieldBits();
   counter_max_ =
       counter_bits_eff_ >= 32 ? ~0u : ((1u << counter_bits_eff_) - 1);

@@ -88,8 +88,8 @@ struct HeavyKeeperConfig {
   // to the scalar path, so this is a pure speed knob: it is not part of
   // the checkpoint identity and a blob saved under one kernel loads under
   // any other. kAuto resolves via cpuid at construction (overridable with
-  // the HK_SIMD environment variable); an explicit kAvx2/kNeon throws when
-  // the host lacks it.
+  // the HK_SIMD environment variable); an explicit kAvx2 throws when the
+  // host lacks it.
   SimdMode simd = SimdMode::kAuto;
 
   // Width of the counter field inside the packed word. Counters are stored
@@ -136,6 +136,12 @@ class HeavyKeeper {
   // ahead of a burst safely. idx[] holds absolute slab word indices
   // (j * w + bucket), so the mutation loop is a single base + index access.
   static constexpr size_t kMaxPreparedArrays = 8;
+
+  // Most buckets per array: handles hold absolute slab word indices in
+  // uint32_t, so even a fully expanded sketch (kMaxPreparedArrays arrays)
+  // stays addressable. The constructor clamps w to this; Builder refuses
+  // a byte budget that needs more.
+  static constexpr size_t kMaxWidth = (size_t{1} << 32) / kMaxPreparedArrays;
 
   struct Prepared {
     FlowId id = 0;
@@ -348,7 +354,7 @@ class HeavyKeeper {
 
   // Registry handles, resolved once at construction. Bumped only on the
   // decay/stuck branches (never the fingerprint-match fast path), so the
-  // per-packet cost stays inside the micro_telemetry_overhead gate.
+  // per-packet cost stays inside the ladder's telemetry gate.
   telemetry::Counter* tm_decay_attempts_;
   telemetry::Counter* tm_decay_success_;
   telemetry::Counter* tm_stuck_events_;

@@ -3,6 +3,7 @@
 // them, all funneling into HeavyKeeperTopK<>::Builder.
 #include "core/hk_topk.h"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "sketch/registry.h"
@@ -24,6 +25,11 @@ std::unique_ptr<TopKAlgorithm> BuildHk(HkVersion version, const SketchArgs& args
   if (cb < 1 || cb > 64) {
     throw std::invalid_argument("sketch spec: cb= must be 1..64");
   }
+  // Decay probability b^-C needs b > 1, and Theorem 5's bound divides by b - 1.
+  const double b = args.GetDouble("b", 1.08);
+  if (!std::isfinite(b) || b <= 1.0) {
+    throw std::invalid_argument("sketch spec: b= must be a finite number above 1");
+  }
   typename HeavyKeeperTopK<>::Builder builder;
   builder.version(version)
       .memory_bytes(args.memory_bytes())
@@ -31,7 +37,7 @@ std::unique_ptr<TopKAlgorithm> BuildHk(HkVersion version, const SketchArgs& args
       .key_kind(args.key_kind())
       .seed(args.seed())
       .d(d)
-      .decay_base(args.GetDouble("b", 1.08))
+      .decay_base(b)
       .fingerprint_bits(static_cast<uint32_t>(fp))
       .counter_bits(static_cast<uint32_t>(cb))
       .expansion(args.GetUint("expand", 0));
@@ -46,7 +52,7 @@ std::unique_ptr<TopKAlgorithm> BuildHk(HkVersion version, const SketchArgs& args
   if (const auto it = args.params().find("simd"); it != args.params().end()) {
     SimdMode mode;
     if (!ParseSimdMode(it->second.c_str(), &mode)) {
-      throw std::invalid_argument("sketch spec: simd= must be auto, scalar, avx2 or neon (got '" +
+      throw std::invalid_argument("sketch spec: simd= must be auto, scalar or avx2 (got '" +
                                   it->second + "')");
     }
     // An explicitly requested kernel the host cannot run throws

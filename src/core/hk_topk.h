@@ -15,8 +15,8 @@
 // funnel into one prepared-handle path (see HeavyKeeper::Prepare), so a
 // batched stream mutates exactly the state a scalar stream would; the
 // batch entry points additionally hash and prefetch a whole burst before
-// applying it (software pipelining - the micro_batch_insert bench
-// measures the win).
+// applying it (software pipelining - the ladder's L3 rows in
+// bench/ladder.cpp measure the win).
 //
 // The store backend is a template parameter so the `abl_topk_store`
 // ablation can swap backends without touching the logic. The default is
@@ -35,6 +35,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -140,8 +141,14 @@ class HeavyKeeperTopK : public TopKAlgorithm {
       config.expansion_threshold = expansion_threshold_;
       config.max_arrays = max_arrays_;
       config.simd = simd_;
-      // Derive w from the budget under the *configured* bucket layout.
+      // Derive w from the budget under the *configured* bucket layout, and
+      // refuse (before anything is allocated) a budget past the width cap.
       config.w = std::max<size_t>(sketch_bytes / (config.BucketBytes() * config.d), 1);
+      if (config.w > HeavyKeeper::kMaxWidth) {
+        throw std::invalid_argument("HeavyKeeper: " + std::to_string(memory_bytes_) +
+                                    " bytes need more than " +
+                                    std::to_string(HeavyKeeper::kMaxWidth) + " buckets per array");
+      }
       return std::make_unique<HeavyKeeperTopK>(version_, config, k_, key_bytes);
     }
 

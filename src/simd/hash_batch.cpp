@@ -13,9 +13,6 @@ void HashBytesBatch(SimdKernel kernel, const uint8_t* keys, size_t n, size_t len
     done = HashBytesBatchAvx2(keys, n, len, seed, out);
   }
 #endif
-  // NEON note: the construction is 64-bit multiply chains, which aarch64
-  // executes fastest as scalar mul/umulh (see kernels_neon.cpp) - the
-  // "vector" kernel there is this same scalar loop.
   (void)kernel;
   for (; done < n; ++done) {
     out[done] = HashBytes(keys + done * kHashBatchStride, len, seed);

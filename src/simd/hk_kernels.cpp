@@ -14,12 +14,6 @@ bool ProbeMinimum(SimdKernel kernel, const uint32_t* words, const uint32_t* idx,
     return true;
   }
 #endif
-#if defined(__aarch64__)
-  if (kernel == SimdKernel::kNeon) {
-    ProbeMinimumNeon(words, idx, n, fpw, cmask, gate, out);
-    return true;
-  }
-#endif
   (void)kernel;
   (void)words;
   (void)idx;
@@ -39,12 +33,6 @@ bool ProbeQuery(SimdKernel kernel, const uint32_t* words, const uint32_t* idx, u
     return true;
   }
 #endif
-#if defined(__aarch64__)
-  if (kernel == SimdKernel::kNeon) {
-    *best = ProbeQueryNeon(words, idx, n, fpw, cmask);
-    return true;
-  }
-#endif
   (void)kernel;
   (void)words;
   (void)idx;
@@ -60,11 +48,6 @@ size_t PrepareBatch(SimdKernel kernel, const SimdPrepareParams& params, const Fl
 #if defined(__x86_64__) || defined(_M_X64)
   if (kernel == SimdKernel::kAvx2) {
     return PrepareBatchAvx2(params, ids, n, out);
-  }
-#endif
-#if defined(__aarch64__)
-  if (kernel == SimdKernel::kNeon) {
-    return PrepareBatchNeon(params, ids, n, out);
   }
 #endif
   (void)kernel;

@@ -128,17 +128,6 @@ uint32_t InsertMinimumAvx2(uint32_t* words, const uint32_t* idx, uint32_t n, uin
 size_t PrepareBatchAvx2(const SimdPrepareParams& params, const FlowId* ids, size_t n,
                         HeavyKeeper::Prepared* out);
 #endif
-#if defined(__aarch64__)
-void ProbeMinimumNeon(const uint32_t* words, const uint32_t* idx, uint32_t n, uint32_t fpw,
-                      uint32_t cmask, uint32_t gate, MinimumProbe* out);
-uint32_t ProbeQueryNeon(const uint32_t* words, const uint32_t* idx, uint32_t n, uint32_t fpw,
-                        uint32_t cmask);
-uint32_t InsertMinimumNeon(uint32_t* words, const uint32_t* idx, uint32_t n, uint32_t fpw,
-                           uint32_t cmask, uint32_t gate, uint32_t counter_max,
-                           const DecayTable& decay, Rng& rng, bool* stuck);
-size_t PrepareBatchNeon(const SimdPrepareParams& params, const FlowId* ids, size_t n,
-                        HeavyKeeper::Prepared* out);
-#endif
 
 inline bool InsertMinimumVec(SimdKernel kernel, uint32_t* words, const uint32_t* idx,
                              uint32_t n, uint32_t fpw, uint32_t cmask, uint32_t gate,
@@ -148,13 +137,6 @@ inline bool InsertMinimumVec(SimdKernel kernel, uint32_t* words, const uint32_t*
   if (kernel == SimdKernel::kAvx2) {
     *estimate =
         InsertMinimumAvx2(words, idx, n, fpw, cmask, gate, counter_max, decay, rng, stuck);
-    return true;
-  }
-#endif
-#if defined(__aarch64__)
-  if (kernel == SimdKernel::kNeon) {
-    *estimate =
-        InsertMinimumNeon(words, idx, n, fpw, cmask, gate, counter_max, decay, rng, stuck);
     return true;
   }
 #endif

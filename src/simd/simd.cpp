@@ -21,24 +21,7 @@ bool HostHasAvx2() {
 #endif
 }
 
-bool HostHasNeon() {
-#if defined(__aarch64__)
-  // Advanced SIMD is part of the aarch64 baseline ISA.
-  return true;
-#else
-  return false;
-#endif
-}
-
-SimdKernel BestAvailable() {
-  if (HostHasAvx2()) {
-    return SimdKernel::kAvx2;
-  }
-  if (HostHasNeon()) {
-    return SimdKernel::kNeon;
-  }
-  return SimdKernel::kScalar;
-}
+SimdKernel BestAvailable() { return HostHasAvx2() ? SimdKernel::kAvx2 : SimdKernel::kScalar; }
 
 }  // namespace
 
@@ -48,8 +31,6 @@ bool SimdKernelAvailable(SimdKernel kernel) {
       return true;
     case SimdKernel::kAvx2:
       return HostHasAvx2();
-    case SimdKernel::kNeon:
-      return HostHasNeon();
   }
   return false;
 }
@@ -65,13 +46,6 @@ SimdKernel ResolveSimdKernel(SimdMode mode) {
             "(use simd=auto for runtime dispatch)");
       }
       return SimdKernel::kAvx2;
-    case SimdMode::kNeon:
-      if (!SimdKernelAvailable(SimdKernel::kNeon)) {
-        throw std::invalid_argument(
-            "simd=neon requested but this is not an aarch64 build "
-            "(use simd=auto for runtime dispatch)");
-      }
-      return SimdKernel::kNeon;
     case SimdMode::kAuto:
       break;
   }
@@ -81,9 +55,8 @@ SimdKernel ResolveSimdKernel(SimdMode mode) {
   if (const char* env = std::getenv("HK_SIMD"); env != nullptr) {
     SimdMode forced;
     if (ParseSimdMode(env, &forced) && forced != SimdMode::kAuto) {
-      const SimdKernel kernel = forced == SimdMode::kScalar ? SimdKernel::kScalar
-                                : forced == SimdMode::kAvx2 ? SimdKernel::kAvx2
-                                                            : SimdKernel::kNeon;
+      const SimdKernel kernel =
+          forced == SimdMode::kScalar ? SimdKernel::kScalar : SimdKernel::kAvx2;
       if (SimdKernelAvailable(kernel)) {
         return kernel;
       }
@@ -98,8 +71,6 @@ const char* SimdKernelName(SimdKernel kernel) {
       return "scalar";
     case SimdKernel::kAvx2:
       return "avx2";
-    case SimdKernel::kNeon:
-      return "neon";
   }
   return "?";
 }
@@ -112,8 +83,6 @@ const char* SimdModeToken(SimdMode mode) {
       return "scalar";
     case SimdMode::kAvx2:
       return "avx2";
-    case SimdMode::kNeon:
-      return "neon";
   }
   return "?";
 }
@@ -125,8 +94,6 @@ bool ParseSimdMode(const char* token, SimdMode* out) {
     *out = SimdMode::kScalar;
   } else if (std::strcmp(token, "avx2") == 0) {
     *out = SimdMode::kAvx2;
-  } else if (std::strcmp(token, "neon") == 0) {
-    *out = SimdMode::kNeon;
   } else {
     return false;
   }

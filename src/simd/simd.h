@@ -1,9 +1,8 @@
 // Runtime SIMD dispatch for the HeavyKeeper hot-path kernels.
 //
-// Three kernels exist: a portable scalar fallback, an AVX2 path (x86-64,
-// selected via cpuid at construction time), and a NEON path (aarch64, where
-// the baseline ISA already includes Advanced SIMD). A sketch resolves its
-// kernel once, when it is built:
+// Two kernels exist: a portable scalar fallback and an AVX2 path (x86-64,
+// selected via cpuid at construction time). A sketch resolves its kernel
+// once, when it is built:
 //
 //   simd=auto    - best kernel the host supports (the default). The HK_SIMD
 //                  environment variable overrides *auto* resolution only
@@ -12,7 +11,6 @@
 //   simd=scalar  - portable path, always available.
 //   simd=avx2    - x86 gather-compare kernels; construction throws if the
 //                  host cpuid does not report AVX2.
-//   simd=neon    - aarch64 kernels; construction throws elsewhere.
 //
 // Every kernel is bit-identical to the scalar path (same hashes, same
 // bucket transitions, decay coins drawn scalar in packet order), so the
@@ -29,10 +27,10 @@
 namespace hk {
 
 // What the spec/config asks for.
-enum class SimdMode { kAuto, kScalar, kAvx2, kNeon };
+enum class SimdMode { kAuto, kScalar, kAvx2 };
 
 // What actually runs.
-enum class SimdKernel { kScalar, kAvx2, kNeon };
+enum class SimdKernel { kScalar, kAvx2 };
 
 // Addressing constants a batch-prepare kernel needs, extracted once from a
 // sketch's hash family (core/heavykeeper.cpp refreshes this whenever the
@@ -49,7 +47,7 @@ struct SimdPrepareParams {
 };
 
 // True when the host can execute `kernel` (scalar: always; avx2: x86-64
-// with cpuid AVX2; neon: aarch64 builds).
+// with cpuid AVX2).
 bool SimdKernelAvailable(SimdKernel kernel);
 
 // Resolve a requested mode to the kernel that will run. kAuto picks the
@@ -60,10 +58,10 @@ bool SimdKernelAvailable(SimdKernel kernel);
 // lacks it - a spec that says avx2 must never silently run scalar.
 SimdKernel ResolveSimdKernel(SimdMode mode);
 
-// Kernel name for SnapshotStats / serve STATS ("scalar", "avx2", "neon").
+// Kernel name for SnapshotStats / serve STATS ("scalar", "avx2").
 const char* SimdKernelName(SimdKernel kernel);
 
-// Spec-grammar token for a mode ("auto", "scalar", "avx2", "neon").
+// Spec-grammar token for a mode ("auto", "scalar", "avx2").
 const char* SimdModeToken(SimdMode mode);
 
 // Parse a spec token; returns false on unknown tokens.

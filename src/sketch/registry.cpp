@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <unordered_map>
@@ -71,9 +73,13 @@ uint64_t ParseUint(const std::string& key, const std::string& value) {
     Fail("sketch spec: malformed integer '" + value + "' for '" + key + "'");
   }
   char* end = nullptr;
+  errno = 0;
   const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
   if (end != value.c_str() + value.size()) {
     Fail("sketch spec: malformed integer '" + value + "' for '" + key + "'");
+  }
+  if (errno == ERANGE) {
+    Fail("sketch spec: integer '" + value + "' for '" + key + "' is out of range");
   }
   return v;
 }
@@ -107,7 +113,14 @@ size_t ParseMemory(const std::string& value) {
       digits.resize(digits.size() - 2);
     }
   }
-  return static_cast<size_t>(ParseUint("mem", digits)) * multiplier;
+  const uint64_t units = ParseUint("mem", digits);
+  if (units == 0) {
+    Fail("sketch spec: mem= must be positive");
+  }
+  if (units > std::numeric_limits<size_t>::max() / multiplier) {
+    Fail("sketch spec: mem='" + value + "' is out of range");
+  }
+  return static_cast<size_t>(units) * multiplier;
 }
 
 KeyKind ParseKeyKind(const std::string& value) {

@@ -80,7 +80,7 @@ struct SnapshotStats {
   uint64_t min_tracked = 0;   // smallest tracked estimate (the paper's nmin)
   size_t worker_threads = 0;  // WorkerThreads() at snapshot time
   size_t memory_bytes = 0;    // MemoryBytes() of the instance
-  // Resolved hot-path kernel ("scalar"/"avx2"/"neon"; "" when the
+  // Resolved hot-path kernel ("scalar"/"avx2"; "" when the
   // algorithm has no SIMD dispatch). Static-literal lifetime.
   const char* simd_kernel = "";
 };

@@ -1,7 +1,5 @@
 #include "telemetry/telemetry.h"
 
-#ifndef HK_TELEMETRY_DISABLED
-
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -251,5 +249,3 @@ std::string Registry::RenderPrometheus(const std::string& filter) const {
 }
 
 }  // namespace hk::telemetry
-
-#endif  // HK_TELEMETRY_DISABLED

@@ -14,12 +14,9 @@
 // Gauges and histograms are shared relaxed atomics - they sit on query,
 // checkpoint, and per-burst paths where a fetch_add is noise.
 //
-// Two off switches:
-//   * runtime: HK_TELEMETRY=off|0|false in the environment (read once at
-//     registry birth), or Registry::SetEnabled(false). Add/Observe/Set
-//     degrade to a predictable test-and-return.
-//   * compile time: -DHK_TELEMETRY_DISABLED (CMake -DHK_TELEMETRY=OFF)
-//     swaps every primitive for an empty inline stub.
+// Off switch: HK_TELEMETRY=off|0|false in the environment (read once at
+// registry birth), or Registry::SetEnabled(false). Add/Observe/Set degrade
+// to a predictable test-and-return.
 //
 // Metric identity is (name, labels) where labels is a pre-rendered
 // Prometheus label body like `instance="edge0"` (no braces). Series of the
@@ -29,14 +26,11 @@
 #ifndef HK_TELEMETRY_TELEMETRY_H_
 #define HK_TELEMETRY_TELEMETRY_H_
 
-#include <cstdint>
-#include <string>
-
-#ifndef HK_TELEMETRY_DISABLED
-
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cstdint>
+#include <string>
 
 namespace hk::telemetry {
 
@@ -282,69 +276,5 @@ class Registry {
 };
 
 }  // namespace hk::telemetry
-
-#else  // HK_TELEMETRY_DISABLED: every primitive is an empty inline stub.
-
-namespace hk::telemetry {
-
-class Counter {
- public:
-  void Add(uint64_t = 1) {}
-  uint64_t Value() const { return 0; }
-};
-
-class Gauge {
- public:
-  void Set(int64_t) {}
-  void Add(int64_t) {}
-  void MaxTo(int64_t) {}
-  int64_t Value() const { return 0; }
-};
-
-class Histogram {
- public:
-  static constexpr size_t kBuckets = 32;
-  static size_t BucketIndex(uint64_t) { return 0; }
-  static uint64_t BucketUpperBound(size_t) { return 0; }
-  void Observe(uint64_t) {}
-  uint64_t BucketCount(size_t) const { return 0; }
-  uint64_t Sum() const { return 0; }
-  uint64_t Count() const { return 0; }
-};
-
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram*, Counter* = nullptr) {}
-};
-
-class Registry {
- public:
-  static Registry& Get() {
-    static Registry registry;
-    return registry;
-  }
-  Counter* GetCounter(const std::string&, const std::string&, const std::string& = "") {
-    return &counter_;
-  }
-  Gauge* GetGauge(const std::string&, const std::string&, const std::string& = "") {
-    return &gauge_;
-  }
-  Histogram* GetHistogram(const std::string&, const std::string&, const std::string& = "") {
-    return &histogram_;
-  }
-  uint64_t SumCounter(const std::string&) const { return 0; }
-  std::string RenderPrometheus(const std::string& = "") const { return ""; }
-  static bool Enabled() { return false; }
-  static void SetEnabled(bool) {}
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  Histogram histogram_;
-};
-
-}  // namespace hk::telemetry
-
-#endif  // HK_TELEMETRY_DISABLED
 
 #endif  // HK_TELEMETRY_TELEMETRY_H_

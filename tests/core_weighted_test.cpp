@@ -191,7 +191,7 @@ TEST(WeightedInsertTest, WeightedAdmissionMatchesUnitAdmission) {
 // geometric sample per counter level (DecayTable::GeometricTrials): exactly
 // equivalent for weight == 1 (the last unit always flips a plain coin) and
 // statistically equivalent for larger weights, closing the unmonitored
-// "replay tax" measured by micro_weighted_insert.
+// "replay tax" the ladder's L2/weighted rows measure.
 
 HeavyKeeperConfig CollapsedConfig(uint64_t seed, bool collapsed) {
   HeavyKeeperConfig config;

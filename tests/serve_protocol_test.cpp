@@ -99,6 +99,8 @@ TEST(ServeProtocol, CreateListDrop) {
   EXPECT_EQ(core.Execute("CREATE b SS:mem=10KB"), "OK created b\n");
   EXPECT_EQ(core.Execute("CREATE a HK").rfind("ERR ", 0), 0u) << "duplicate name accepted";
   EXPECT_EQ(core.Execute("CREATE bad not-a-sketch").rfind("ERR ", 0), 0u);
+  EXPECT_EQ(core.Execute("CREATE empty HK-Minimum:mem=0").rfind("ERR ", 0), 0u);
+  EXPECT_EQ(core.Execute("CREATE flat HK-Minimum:b=1").rfind("ERR ", 0), 0u);
 
   const auto lines = Lines(core.Execute("LIST"));
   ASSERT_EQ(lines.size(), 3u);
@@ -632,8 +634,8 @@ TEST(LineServerTest, ByteAtATimeClientAndTruncationTelemetry) {
   ASSERT_TRUE(WriteAll(fd, "TOPK 1", 6));
   ::close(fd);
   // The connection thread notices the truncation on its next read; poll
-  // the counter rather than racing it. With telemetry off (runtime switch
-  // or -DHK_TELEMETRY=OFF) the counter never moves - nothing to assert.
+  // the counter rather than racing it. With telemetry off (HK_TELEMETRY=off)
+  // the counter never moves - nothing to assert.
   if (telemetry::Registry::Enabled()) {
     uint64_t proto_errors_after = proto_errors_before;
     for (int i = 0; i < 200 && proto_errors_after == proto_errors_before; ++i) {

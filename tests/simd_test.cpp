@@ -61,14 +61,10 @@ TEST(SimdDispatch, ExplicitUnavailableThrows) {
   if (!SimdKernelAvailable(SimdKernel::kAvx2)) {
     EXPECT_THROW(ResolveSimdKernel(SimdMode::kAvx2), std::invalid_argument);
   }
-  if (!SimdKernelAvailable(SimdKernel::kNeon)) {
-    EXPECT_THROW(ResolveSimdKernel(SimdMode::kNeon), std::invalid_argument);
-  }
 }
 
 TEST(SimdDispatch, TokensRoundTrip) {
-  for (const SimdMode mode :
-       {SimdMode::kAuto, SimdMode::kScalar, SimdMode::kAvx2, SimdMode::kNeon}) {
+  for (const SimdMode mode : {SimdMode::kAuto, SimdMode::kScalar, SimdMode::kAvx2}) {
     SimdMode parsed;
     ASSERT_TRUE(ParseSimdMode(SimdModeToken(mode), &parsed)) << SimdModeToken(mode);
     EXPECT_EQ(parsed, mode);
@@ -105,8 +101,9 @@ TEST(SimdSpec, RoundTripsThroughRegistry) {
 }
 
 TEST(SimdSpec, RejectionMatrix) {
-  // Unknown token.
+  // Unknown tokens, including the removed neon kernel.
   EXPECT_THROW(MakeSketch("HK-Minimum:simd=sse9"), std::invalid_argument);
+  EXPECT_THROW(MakeSketch("HK-Minimum:simd=neon"), std::invalid_argument);
   // Non-HK pipelines have no simd key (the wdecay=collapsed precedent:
   // accepting it as a silent no-op would lie about what runs).
   EXPECT_THROW(MakeSketch("SS:simd=scalar"), std::invalid_argument);
@@ -121,9 +118,6 @@ TEST(SimdSpec, RejectionMatrix) {
   // Explicitly requesting a kernel the host lacks throws at build time.
   if (!SimdKernelAvailable(SimdKernel::kAvx2)) {
     EXPECT_THROW(MakeSketch("HK-Minimum:simd=avx2"), std::invalid_argument);
-  }
-  if (!SimdKernelAvailable(SimdKernel::kNeon)) {
-    EXPECT_THROW(MakeSketch("HK-Minimum:simd=neon"), std::invalid_argument);
   }
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "sketch/registry.h"
 #include "trace/generators.h"
@@ -175,6 +176,16 @@ TEST(RegistryTest, RejectsOutOfRangeAndNegativeValues) {
   EXPECT_THROW(MakeSketch("HK-Minimum:cb=0"), std::invalid_argument);
   EXPECT_THROW(MakeSketch("SS:mem=-1"), std::invalid_argument);
   EXPECT_THROW(MakeSketch("SS:seed=-7"), std::invalid_argument);
+  // strtoull's ERANGE value, a kb multiply that wraps, and an empty budget.
+  EXPECT_THROW(MakeSketch("HK-Minimum:mem=99999999999999999999999"), std::invalid_argument);
+  EXPECT_THROW(MakeSketch("HK-Minimum:mem=18446744073709551615kb"), std::invalid_argument);
+  EXPECT_THROW(MakeSketch("HK-Minimum:mem=0"), std::invalid_argument);
+  // Past the 2^29-bucket width cap: refused before any slab is allocated.
+  EXPECT_THROW(MakeSketch("HK-Minimum:mem=900000MB"), std::invalid_argument);
+  // The decay probability b^-C needs a finite b > 1.
+  for (const char* b : {"1", "0.5", "-3", "nan", "inf"}) {
+    EXPECT_THROW(MakeSketch(std::string("HK-Minimum:b=") + b), std::invalid_argument) << b;
+  }
 }
 
 }  // namespace

@@ -18,8 +18,6 @@
 namespace hk::telemetry {
 namespace {
 
-#ifndef HK_TELEMETRY_DISABLED
-
 // N threads hammering one counter plus a private counter each; the total
 // must come out exact. Under TSan this also proves the per-thread cell
 // discipline (relaxed single-writer add, registry-mutex retirement on
@@ -206,22 +204,6 @@ TEST(TelemetryScopedTimer, FeedsHistogramAndCounter) {
   }
   EXPECT_EQ(hist->Count(), 1u);  // counter-only timer must not touch the histogram
 }
-
-#else  // HK_TELEMETRY_DISABLED
-
-// Compile-out build: the stubs must stay drop-in (this test compiling IS
-// most of the assertion) and render nothing.
-TEST(TelemetryStubs, CompiledOutIsInert) {
-  Registry& registry = Registry::Get();
-  Counter* counter = registry.GetCounter("hk_test_stub_total", "test");
-  counter->Add(5);
-  EXPECT_EQ(counter->Value(), 0u);
-  EXPECT_EQ(registry.SumCounter("hk_test_stub_total"), 0u);
-  EXPECT_EQ(registry.RenderPrometheus(), "");
-  EXPECT_FALSE(Registry::Enabled());
-}
-
-#endif  // HK_TELEMETRY_DISABLED
 
 }  // namespace
 }  // namespace hk::telemetry
