@@ -17,8 +17,11 @@
 
 #include <cstddef>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <new>
+#include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <utility>
 
@@ -67,7 +70,7 @@ class Slab {
     }
     T* fresh = nullptr;
     if (n > 0) {
-      fresh = static_cast<T*>(::operator new(n * sizeof(T), std::align_val_t(kCacheLineBytes)));
+      fresh = static_cast<T*>(::operator new(Bytes(n), std::align_val_t(kCacheLineBytes)));
       const size_t keep = n < size_ ? n : size_;
       if (keep > 0) {
         std::memcpy(fresh, data_, keep * sizeof(T));
@@ -102,12 +105,21 @@ class Slab {
   }
 
  private:
+  // n * sizeof(T), refused (before any allocation) when it overflows: a
+  // wrapped product would allocate a few bytes and the zero-fill would
+  // write far past them.
+  static size_t Bytes(size_t n) {
+    if (n > std::numeric_limits<size_t>::max() / sizeof(T)) {
+      throw std::length_error("Slab: " + std::to_string(n) + " elements overflow size_t");
+    }
+    return n * sizeof(T);
+  }
+
   void CopyFrom(const Slab& other) {
     size_ = other.size_;
     data_ = nullptr;
     if (size_ > 0) {
-      data_ = static_cast<T*>(
-          ::operator new(size_ * sizeof(T), std::align_val_t(kCacheLineBytes)));
+      data_ = static_cast<T*>(::operator new(Bytes(size_), std::align_val_t(kCacheLineBytes)));
       std::memcpy(data_, other.data_, size_ * sizeof(T));
     }
   }

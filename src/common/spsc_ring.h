@@ -14,6 +14,9 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -36,8 +39,12 @@ template <typename T>
 class SpscRing {
  public:
   // Capacity is rounded up to a power of two (one slot is sacrificed to
-  // distinguish full from empty).
+  // distinguish full from empty). A capacity whose rounding does not fit a
+  // size_t is refused before anything is allocated.
   explicit SpscRing(size_t capacity) {
+    if (capacity > std::numeric_limits<size_t>::max() / 2) {
+      throw std::length_error("SpscRing: capacity " + std::to_string(capacity) + " is too large");
+    }
     size_t cap = 2;
     while (cap < capacity + 1) {
       cap <<= 1;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/timer.h"
+#include "ingest/burst_loop.h"
 
 namespace hk {
 
@@ -19,7 +20,6 @@ ReplayStats TraceReplayer::Replay(PcapReader& reader, WindowedTopK& window) cons
 ReplayStats TraceReplayer::Run(PcapReader& reader, TopKAlgorithm& algo, WindowedTopK* ring) const {
   const size_t batch = std::max<size_t>(options_.batch, 1);
   const bool windowed = ring != nullptr && options_.epoch_ns > 0;
-  std::vector<PacketRecord> records(batch);
   std::vector<FlowId> ids(batch);
   std::vector<uint64_t> weights(options_.byte_weighted ? batch : 0);
   // Apply records [begin, end) of the current burst as one InsertBatch.
@@ -38,11 +38,11 @@ ReplayStats TraceReplayer::Run(PcapReader& reader, TopKAlgorithm& algo, Windowed
   ReplayStats stats;
   uint64_t window_start = 0;
   WallTimer timer;
-  for (;;) {
-    const size_t n = reader.NextBatch(records);
-    if (n == 0) {
-      break;
-    }
+  BurstLoopOptions loop;
+  loop.batch = batch;
+  RunBurstLoop(reader, algo, loop, [&](const ParsedBurst& burst) {
+    const std::span<const PacketRecord> records = burst.records;
+    const size_t n = records.size();
     if (stats.packets == 0) {
       stats.first_ts_ns = records[0].timestamp_ns;
       window_start = stats.first_ts_ns;
@@ -80,7 +80,7 @@ ReplayStats TraceReplayer::Run(PcapReader& reader, TopKAlgorithm& algo, Windowed
     apply(begin, n);
     stats.packets += n;
     stats.last_ts_ns = records[n - 1].timestamp_ns;
-  }
+  });
   // Threaded front-ends only enqueued above; pay for the applied packets
   // inside the timed region. Snapshot quiesces before reading, so when a
   // report was requested it doubles as the end-of-stream Flush.

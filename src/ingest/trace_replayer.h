@@ -2,13 +2,17 @@
 //
 // The replayer is the glue between the ingest layer and the measurement
 // layer: it reads PacketRecords from a PcapReader in capture (timestamp)
-// order, a burst at a time (PcapReader::NextBatch), and applies them
-// through the batch-first TopKAlgorithm v2 API - InsertBatch bursts of
-// flow ids, or weighted bursts of (id, wire_len) when byte_weighted is set
-// (byte-count measurement, the mode the paper's flow-size definition
-// footnotes). Any registry-built algorithm works, including the threaded
-// ShardedTopK front-end: Flush() runs at end-of-stream inside the timed
-// region so stats cover applied packets.
+// order, a burst at a time, and applies them through the batch-first
+// TopKAlgorithm v2 API - InsertBatch bursts of flow ids, or weighted bursts
+// of (id, wire_len) when byte_weighted is set (byte-count measurement, the
+// mode the paper's flow-size definition footnotes). The bursts come from
+// RunBurstLoop (ingest/burst_loop.h), the loop hk_serve's ingest thread
+// runs too: for a sketch that applies on the calling thread a parse thread
+// fills the next bursts while this one is applied; a threaded front-end
+// parses inline. Every burst is applied on the calling thread, in order,
+// so the result is the same either way. Any registry-built algorithm
+// works, including the threaded ShardedTopK front-end: Flush() runs at
+// end-of-stream inside the timed region so stats cover applied packets.
 //
 // Windowed mode: the WindowedTopK overload with epoch_ns > 0 rotates the
 // ring whenever the capture timestamp crosses an epoch_ns boundary -
@@ -22,6 +26,8 @@
 // kMaxGapRotations so a pathological timestamp jump cannot spin. A
 // one-slot ring (w=1) is the per-window report: each epoch callback
 // delivers exactly what its inner alone would report for that window.
+// The cuts and rotations run on the applying thread, from each burst's
+// records.
 #ifndef HK_INGEST_TRACE_REPLAYER_H_
 #define HK_INGEST_TRACE_REPLAYER_H_
 
@@ -47,7 +53,9 @@ struct ReplayStats {
   uint64_t first_ts_ns = 0;  // capture timestamps of the applied stream
   uint64_t last_ts_ns = 0;
   uint64_t epochs = 0;       // capture-time rotations triggered (windowed mode)
-  double seconds = 0.0;      // wall time of the parse+insert loop, quiesce included
+  // Wall time of the parse+insert loop: the parse thread's start and join
+  // and the end-of-stream quiesce included.
+  double seconds = 0.0;
   // End-of-stream report when snapshot_k > 0 (always kExact: the stream is
   // over, so Snapshot's quiesce doubles as the end-of-run Flush). Empty
   // otherwise; a ring's epoch callback reports per window instead.
@@ -66,8 +74,9 @@ class TraceReplayer {
   explicit TraceReplayer(const ReplayOptions& options = {}) : options_(options) {}
 
   // Stream every remaining packet in `reader` through `algo` in InsertBatch
-  // bursts. The reader's stats/error surface parse-side outcomes; the
-  // returned stats cover the applied stream.
+  // bursts. The reader's stats/error surface parse-side outcomes (read
+  // them after Replay returns; the parse thread has been joined by then);
+  // the returned stats cover the applied stream.
   ReplayStats Replay(PcapReader& reader, TopKAlgorithm& algo) const;
 
   // Windowed replay: the same bursts, and with epoch_ns > 0 one Rotate()
@@ -81,8 +90,8 @@ class TraceReplayer {
   const ReplayOptions& options() const { return options_; }
 
  private:
-  // The one burst loop. `ring` is the target itself when it is a window
-  // (rotated on capture time when epoch_ns > 0), null otherwise.
+  // Apply RunBurstLoop's bursts. `ring` is the target itself when it is a
+  // window (rotated on capture time when epoch_ns > 0), null otherwise.
   ReplayStats Run(PcapReader& reader, TopKAlgorithm& algo, WindowedTopK* ring) const;
 
   ReplayOptions options_;

@@ -5,11 +5,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <new>
 #include <span>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
+#include "ingest/burst_loop.h"
 #include "ingest/byte_source.h"
 #include "serve/net.h"
 #include "window/windowed_topk.h"
@@ -118,6 +120,23 @@ class StageClock {
   std::chrono::steady_clock::time_point last_ = std::chrono::steady_clock::now();
 };
 
+// MakeSketch with every way a spec can fail turned into *err: a malformed
+// or out-of-range spec, and a size whose byte count overflows or whose
+// memory cannot be had. The daemon answers ERR to each and keeps running.
+std::unique_ptr<TopKAlgorithm> BuildSketch(const std::string& spec, const SketchDefaults& defaults,
+                                           std::string* err) {
+  try {
+    return MakeSketch(spec, defaults);
+  } catch (const std::invalid_argument& e) {
+    *err = e.what();
+  } catch (const std::length_error& e) {
+    *err = std::string("sketch too large: ") + e.what();
+  } catch (const std::bad_alloc&) {
+    *err = "sketch too large: out of memory";
+  }
+  return nullptr;
+}
+
 // SaveState writes a little more than MemoryBytes() charges (headers,
 // length slots, candidate entries); reserving this much on top lets one
 // allocation hold a whole state blob.
@@ -214,11 +233,8 @@ bool ServeCore::Create(const std::string& name, const std::string& spec, std::st
     *err = "instance names must be non-empty and slash-free";
     return false;
   }
-  std::unique_ptr<TopKAlgorithm> algo;
-  try {
-    algo = MakeSketch(spec, options_.defaults);
-  } catch (const std::invalid_argument& e) {
-    *err = e.what();
+  std::unique_ptr<TopKAlgorithm> algo = BuildSketch(spec, options_.defaults, err);
+  if (algo == nullptr) {
     return false;
   }
   std::lock_guard<std::mutex> lock(map_mu_);
@@ -315,7 +331,10 @@ bool ServeCore::Attach(const std::string& name, const SourceBinding& binding,
         "Frames the capture parser skipped (non-IP, truncated, zero-length)", labels);
     inst->tm_source_wait_us = registry.GetCounter(
         "hk_ingest_source_wait_us_total",
-        "Microseconds the ingest thread spent reading and parsing its source", labels);
+        "Microseconds the ingest thread waited for its next parsed burst", labels);
+    inst->tm_parse_us = registry.GetCounter(
+        "hk_ingest_parse_us_total",
+        "Microseconds spent reading and parsing the source (NextBatch), on either thread", labels);
     inst->tm_lock_wait_us = registry.GetCounter(
         "hk_ingest_lock_wait_us_total",
         "Microseconds the ingest thread waited for its instance lock", labels);
@@ -335,8 +354,8 @@ bool ServeCore::Attach(const std::string& name, const SourceBinding& binding,
 }
 
 void ServeCore::IngestLoop(Instance* inst, std::unique_ptr<PcapReader> reader) {
-  // The three stages run in turn and every boundary is charged once, so
-  // source wait + lock wait + apply is the thread's wall time.
+  // The three stages run in turn on this thread and every boundary is
+  // charged once, so source wait + lock wait + apply is its wall time.
   StageClock clock;
   StageClock::Stage source{inst->tm_source_wait_us};
   StageClock::Stage lock_wait{inst->tm_lock_wait_us};
@@ -355,55 +374,41 @@ void ServeCore::IngestLoop(Instance* inst, std::unique_ptr<PcapReader> reader) {
       return;
     }
   }
-  std::vector<PacketRecord> records(options_.ingest_batch);
-  // Recovery: the checkpointed prefix is already in the sketch. The last
-  // skip burst may be shorter than a full one.
-  for (uint64_t left = binding.skip_packets; left > 0;) {
-    const size_t want = static_cast<size_t>(std::min<uint64_t>(left, records.size()));
-    const size_t got = reader->NextBatch(std::span<PacketRecord>(records.data(), want));
-    if (got == 0) {
-      finish(reader->error());
-      return;
-    }
-    left -= got;
-  }
   const bool weighted = binding.byte_weighted;
-  std::vector<FlowId> ids(records.size());
-  std::vector<uint64_t> weights(weighted ? records.size() : 0);
-  const auto malformed_of = [](const IngestStats& s) {
-    return s.skipped_non_ip + s.skipped_truncated + s.skipped_other;
-  };
-  uint64_t malformed_seen = malformed_of(reader->stats());
-  bool more = true;
-  while (more && !inst->stop_ingest.load(std::memory_order_acquire)) {
-    // Source wait: reading and parsing the capture, the number that tells
-    // an operator the pipe, not the sketch, is the bottleneck. NextBatch
-    // returns a short burst only at the end of the stream.
-    const size_t n = reader->NextBatch(records);
-    more = n == records.size();
-    if (n == 0) {
-      break;
-    }
+  BurstLoopOptions loop;
+  loop.batch = std::max<size_t>(options_.ingest_batch, 1);
+  std::vector<FlowId> ids(loop.batch);
+  std::vector<uint64_t> weights(weighted ? loop.batch : 0);
+  // Recovery: the checkpointed prefix is already in the sketch.
+  loop.skip = binding.skip_packets;
+  loop.stop = &inst->stop_ingest;
+  loop.parse_us = inst->tm_parse_us;
+  RunBurstLoop(*reader, *inst->algo, loop, [&](const ParsedBurst& burst) {
+    // Source wait: waiting for this burst (parsing it, when the loop parses
+    // inline), the number that tells an operator the source, not the
+    // sketch, is the bottleneck.
+    clock.Charge(&source);
+    const size_t n = burst.records.size();
     uint64_t burst_bytes = 0;
     for (size_t i = 0; i < n; ++i) {
-      ids[i] = records[i].id;
+      ids[i] = burst.records[i].id;
       if (weighted) {
-        weights[i] = records[i].wire_len;
+        weights[i] = burst.records[i].wire_len;
       }
-      burst_bytes += records[i].wire_len;
+      burst_bytes += burst.records[i].wire_len;
     }
-    clock.Charge(&source);
+    clock.Charge(&apply);
     {
       // The applied-offset pair (sketch state, packets_applied) moves
       // under the instance lock, which is what lets a checkpoint taken
       // between bursts record a consistent cut of the stream.
       std::lock_guard<std::mutex> lock(inst->mu);
       clock.Charge(&lock_wait);
-      const std::span<const FlowId> burst(ids.data(), n);
+      const std::span<const FlowId> ids_in(ids.data(), n);
       if (weighted) {
-        inst->algo->InsertBatch(burst, std::span<const uint64_t>(weights.data(), n));
+        inst->algo->InsertBatch(ids_in, std::span<const uint64_t>(weights.data(), n));
       } else {
-        inst->algo->InsertBatch(burst);
+        inst->algo->InsertBatch(ids_in);
       }
       inst->packets_applied += n;
       inst->wire_bytes_applied += burst_bytes;
@@ -411,11 +416,9 @@ void ServeCore::IngestLoop(Instance* inst, std::unique_ptr<PcapReader> reader) {
     inst->tm_burst_packets->Observe(n);
     inst->tm_packets->Add(n);
     inst->tm_bytes->Add(burst_bytes);
-    const uint64_t malformed_now = malformed_of(reader->stats());
-    inst->tm_malformed->Add(malformed_now - malformed_seen);
-    malformed_seen = malformed_now;
+    inst->tm_malformed->Add(burst.malformed);
     clock.Charge(&apply);
-  }
+  });
   finish(reader->error());
 }
 
@@ -455,6 +458,14 @@ bool ServeCore::WriteCheckpoint(std::string* err) {
   }
   CheckpointManifest manifest;
   manifest.instances.reserve(instances.size());
+  // Each instance's state buffer is reused from its last checkpoint: a
+  // fresh one would fault in every page of a large state again. The
+  // buffers go back on every way out, a failed save or write included.
+  const auto give_back = [&] {
+    for (size_t i = 0; i < manifest.instances.size(); ++i) {
+      instances[i]->checkpoint_state = std::move(manifest.instances[i].state);
+    }
+  };
   for (Instance* inst : instances) {
     CheckpointInstance entry;
     entry.name = inst->name;
@@ -463,17 +474,19 @@ bool ServeCore::WriteCheckpoint(std::string* err) {
     entry.k = inst->defaults.k;
     entry.key_kind = static_cast<uint8_t>(inst->defaults.key_kind);
     entry.seed = inst->defaults.seed;
+    entry.state = std::move(inst->checkpoint_state);
+    entry.state.clear();
+    bool saved = false;
     {
       // One cut: the state, the applied offset and the source binding all
       // change only under mu.
       std::lock_guard<std::mutex> inst_lock(inst->mu);
       inst->algo->Flush();
       entry.state.reserve(inst->algo->MemoryBytes() + kStateSlackBytes);
-      if (!inst->algo->SaveState(&entry.state)) {
+      saved = inst->algo->SaveState(&entry.state);
+      if (!saved) {
         *err = "instance '" + inst->name + "' (" + inst->algo->name() +
                ") does not support checkpointing";
-        tm_checkpoint_failures_->Add();
-        return false;
       }
       entry.packets_applied = inst->packets_applied;
       if (inst->attached) {
@@ -483,8 +496,15 @@ bool ServeCore::WriteCheckpoint(std::string* err) {
       }
     }
     manifest.instances.push_back(std::move(entry));
+    if (!saved) {
+      give_back();
+      tm_checkpoint_failures_->Add();
+      return false;
+    }
   }
-  if (!WriteCheckpointAtomic(options_.checkpoint_path, manifest, err)) {
+  const bool written = WriteCheckpointAtomic(options_.checkpoint_path, manifest, err);
+  give_back();
+  if (!written) {
     tm_checkpoint_failures_->Add();
     return false;
   }
@@ -517,11 +537,10 @@ bool ServeCore::Recover(size_t* recovered, std::string* err) {
     defaults.k = static_cast<size_t>(entry.k);
     defaults.key_kind = static_cast<KeyKind>(entry.key_kind);
     defaults.seed = entry.seed;
-    std::unique_ptr<TopKAlgorithm> algo;
-    try {
-      algo = MakeSketch(entry.spec, defaults);
-    } catch (const std::invalid_argument& e) {
-      *err = "instance '" + entry.name + "': " + e.what();
+    std::string build_err;
+    std::unique_ptr<TopKAlgorithm> algo = BuildSketch(entry.spec, defaults, &build_err);
+    if (algo == nullptr) {
+      *err = "instance '" + entry.name + "': " + build_err;
       return false;
     }
     if (!algo->LoadState(entry.state.data(), entry.state.size())) {

@@ -43,8 +43,19 @@
 // once. "-" and tcp:// sources are opened by the thread itself: their
 // header read waits on the peer, and ATTACH does not.
 //
-// Concurrency: every instance carries its own mutex serializing its
-// ingest thread against queries and checkpoints. A TOPK ... relaxed on an
+// Concurrency: each attached instance ingests on its own thread, through
+// RunBurstLoop (ingest/burst_loop.h). When the sketch applies on that
+// thread (WorkerThreads() == 0) the loop also starts a parse thread that
+// fills bursts a few ahead; the ingest thread applies them in capture
+// order. A threaded Sharded instance already overlaps parse with its
+// workers, so its ingest thread parses inline. DROP and ~ServeCore set the
+// instance's stop flag and join the ingest thread, which joins its parse
+// thread first; a parse thread blocked in a live read is joined when that
+// read returns. Bursts parsed but not yet applied are not counted in
+// packets_applied, so recovery reads them again.
+//
+// Every instance carries its own mutex serializing its ingest thread
+// against queries and checkpoints. A TOPK ... relaxed on an
 // instance with worker threads (threaded Sharded) bypasses the lock and
 // takes Snapshot(kRelaxed), which reads each shard between two of its
 // worker's bursts - the query answers while the ingest thread keeps
@@ -152,12 +163,19 @@ class ServeCore {
     // an acquire load of ingest_done returned true.
     std::string ingest_error;
 
+    // The last checkpoint's SaveState buffer, kept for the next one so its
+    // pages are already faulted in. Guarded by checkpoint_mu_.
+    std::vector<uint8_t> checkpoint_state;
+
     // instance="<name>" series, registered when the source attaches. The
-    // three *_us counters tile the ingest thread's wall time.
+    // source-wait, lock-wait and apply counters tile the ingest thread's
+    // wall time; parse_us is the reading and parsing inside it or, when the
+    // loop parses ahead, on the parse thread.
     telemetry::Counter* tm_packets = nullptr;
     telemetry::Counter* tm_bytes = nullptr;
     telemetry::Counter* tm_malformed = nullptr;
     telemetry::Counter* tm_source_wait_us = nullptr;
+    telemetry::Counter* tm_parse_us = nullptr;  // NextBatch time, on either thread
     telemetry::Counter* tm_lock_wait_us = nullptr;
     telemetry::Counter* tm_apply_us = nullptr;
     telemetry::Histogram* tm_burst_packets = nullptr;
@@ -170,8 +188,9 @@ class ServeCore {
   // Resolve a possibly-omitted instance name (single-tenant convenience).
   Instance* Resolve(const std::string& name, std::string* err);
 
-  // The ingest thread. `reader` is the source Attach opened, or null for
-  // "-" and tcp://, which the thread opens itself.
+  // The ingest thread: applies RunBurstLoop's bursts under the instance
+  // lock. `reader` is the source Attach opened, or null for "-" and
+  // tcp://, which the thread opens itself.
   void IngestLoop(Instance* inst, std::unique_ptr<PcapReader> reader);
 
   std::string CmdCreate(const std::vector<std::string>& args);

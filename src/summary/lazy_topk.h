@@ -33,6 +33,9 @@
 #define HK_SUMMARY_LAZY_TOPK_H_
 
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/flow_key.h"
@@ -57,6 +60,12 @@ namespace hk {
 class FlowSlotMap {
  public:
   explicit FlowSlotMap(size_t capacity) {
+    // 2 * capacity rounded up to a power of two must fit a size_t; past
+    // that the doubling below would wrap to 0 and never end.
+    if (capacity > std::numeric_limits<size_t>::max() / 4) {
+      throw std::length_error("FlowSlotMap: capacity " + std::to_string(capacity) +
+                              " is too large");
+    }
     size_t n = 16;
     while (n < capacity * 2) {
       n <<= 1;

@@ -1,11 +1,13 @@
 // hk_serve line-protocol tests: ServeCore::Execute() verb coverage
 // (multi-tenancy, the single-tenant name-omission convenience, relaxed vs
-// exact TOPK, ingest from a synthesized capture, the one-read ATTACH and
-// the ingest stage timers) and the LineServer TCP transport end to end
-// over loopback, including its connection cap.
+// exact TOPK, ingest from a synthesized capture, the one-read ATTACH, the
+// ingest stage timers, an idle live source and DROP mid-ingest) and the
+// LineServer TCP transport end to end over loopback, including its
+// connection cap.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/time.h>
@@ -19,6 +21,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -101,6 +104,11 @@ TEST(ServeProtocol, CreateListDrop) {
   EXPECT_EQ(core.Execute("CREATE bad not-a-sketch").rfind("ERR ", 0), 0u);
   EXPECT_EQ(core.Execute("CREATE empty HK-Minimum:mem=0").rfind("ERR ", 0), 0u);
   EXPECT_EQ(core.Execute("CREATE flat HK-Minimum:b=1").rfind("ERR ", 0), 0u);
+  // Sizes that overflow a size_t answer ERR, and the daemon still answers.
+  const char kHugeRing[] = "Sharded:n=1,threads=1,ring=9223372036854775808,inner=HK-Minimum";
+  EXPECT_EQ(core.Execute("CREATE huge HK-Minimum:k=1152921504606846976").rfind("ERR ", 0), 0u);
+  EXPECT_EQ(core.Execute(std::string("CREATE r ") + kHugeRing).rfind("ERR ", 0), 0u);
+  EXPECT_EQ(core.Execute("PING"), "OK pong\n");
 
   const auto lines = Lines(core.Execute("LIST"));
   ASSERT_EQ(lines.size(), 3u);
@@ -284,11 +292,113 @@ TEST(ServeProtocol, IngestStageTimersAddUpToWallTime) {
   EXPECT_GE(stages, 0.9 * wall_us) << "apply " << apply << " lock wait " << lock_wait;
   EXPECT_LE(stages, us(drained - called)) << "apply " << apply << " lock wait " << lock_wait;
   EXPECT_GT(apply, 0.0);
+  // Parsing runs on the parse thread here, overlapped with the stages
+  // above; it too fits inside the ingest wall time.
+  const double parse = counter("hk_ingest_parse_us_total");
+  EXPECT_GT(parse, 0.0);
+  EXPECT_LE(parse, us(drained - called));
   // The burst histogram carries the instance label too: one observation
   // per burst of up to ingest_batch records.
   const size_t batch = core.options().ingest_batch;
   EXPECT_EQ(registry.GetHistogram("hk_ingest_burst_packets", "", label)->Count(),
             (kPackets + batch - 1) / batch);
+  std::remove(path.c_str());
+}
+
+double CpuSeconds() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  const auto seconds = [](const timeval& tv) { return tv.tv_sec + tv.tv_usec / 1e6; };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+size_t ThreadCount() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<size_t>(std::distance(begin(tasks), end(tasks)));
+}
+
+// An idle live source costs no CPU. The writer sends a capture prefix
+// (more than ATTACH's first 256 KB stream read, so ATTACH answers) and
+// then holds the FIFO open without writing: the parse thread sleeps in
+// read() with a burst half filled, and the ingest thread sleeps waiting
+// for it. Neither may spin through the second the writer holds.
+TEST(ServeProtocol, IngestFromAnIdleFifoCostsNoCpu) {
+  const std::string tag = std::to_string(::getpid());
+  const std::string capture = TempPath("serve_idle_" + tag + ".pcap");
+  const Trace trace = SynthesizeCapture(CampusConfig(6000, 29), capture, CaptureSynthOptions{});
+  std::ifstream in(capture, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  ASSERT_GT(bytes.size(), size_t{300} * 1024);
+  const std::string fifo = TempPath("serve_idle_fifo_" + tag);
+  std::remove(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
+
+  ServeCore core(SmallOptions());
+  ASSERT_EQ(core.Execute("CREATE idle HK"), "OK created idle\n");
+  std::promise<void> release;
+  std::thread writer([&, released = release.get_future()] {
+    // A non-blocking open fails until ATTACH opens the read side; give up
+    // after 10 s rather than hang the test.
+    int fd = -1;
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while ((fd = ::open(fifo.c_str(), O_WRONLY | O_NONBLOCK)) < 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (fd < 0) {
+      return;
+    }
+    ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) & ~O_NONBLOCK);
+    for (size_t off = 0; off < bytes.size();) {
+      const ssize_t put = ::write(fd, bytes.data() + off, bytes.size() - off);
+      if (put <= 0) {
+        break;
+      }
+      off += static_cast<size_t>(put);
+    }
+    released.wait();
+    ::close(fd);
+  });
+  EXPECT_EQ(core.Execute("ATTACH idle stream:" + fifo), "OK attached idle\n");
+  // Let what arrived be parsed and applied; after that nothing comes.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const double cpu_before = CpuSeconds();
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  const double idle_cpu = CpuSeconds() - cpu_before;
+  EXPECT_NE(core.Execute("STATS idle").find("STAT ingest_done 0\n"), std::string::npos);
+  release.set_value();
+  writer.join();
+  EXPECT_LT(idle_cpu, 0.010) << "CPU seconds used while the source was idle";
+  core.DrainIngest();
+  EXPECT_NE(core.Execute("STATS idle").find("STAT ingest_done 1\n"), std::string::npos);
+  EXPECT_EQ(core.PacketsApplied("idle"), trace.packets.size());
+  std::remove(fifo.c_str());
+  std::remove(capture.c_str());
+}
+
+// DROP mid-ingest stops the ingest thread and its parse thread and joins
+// both before it answers.
+TEST(ServeProtocol, DropMidIngestJoinsBothThreads) {
+  const std::string path = TempPath("serve_drop_" + std::to_string(::getpid()) + ".pcap");
+  constexpr uint64_t kPackets = 2'000'000;
+  const Trace trace = SynthesizeCapture(CampusConfig(kPackets, 31), path, CaptureSynthOptions{});
+  ASSERT_GT(trace.packets.size(), kPackets / 2);
+  ServeCore core(SmallOptions());
+  ASSERT_EQ(core.Execute("CREATE busy HK"), "OK created busy\n");
+  // A first thread start brings up any helper thread the runtime keeps
+  // (ThreadSanitizer starts one), so it is in the count on both sides.
+  std::thread([] {}).join();
+  const size_t threads_before = ThreadCount();
+  ASSERT_EQ(core.Execute("ATTACH busy " + path), "OK attached busy\n");
+  // Drop once the first bursts have landed: both threads are running then.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (core.PacketsApplied("busy") == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  const auto dropping = std::chrono::steady_clock::now();
+  EXPECT_EQ(core.Execute("DROP busy"), "OK dropped busy\n");
+  EXPECT_LT(std::chrono::steady_clock::now() - dropping, std::chrono::seconds(1));
+  EXPECT_EQ(ThreadCount(), threads_before);
   std::remove(path.c_str());
 }
 

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <sstream>
@@ -143,6 +144,35 @@ TEST(ServeRecovery, KilledMidIngestRecoversWithZeroLossFromFileSource) {
     want += line;
   }
   EXPECT_EQ(got.substr(0, want.size()), want);
+}
+
+// Each instance's state buffer is reused from one checkpoint to the next:
+// two checkpoints with no ingest between them write the same bytes.
+TEST(ServeRecovery, BackToBackCheckpointsWriteIdenticalFiles) {
+  const std::string ckpt = TempPath("reco_twice_" + std::to_string(::getpid()) + ".hk");
+  std::remove(ckpt.c_str());
+  ServeCore core(OptionsWithCheckpoint(ckpt));
+  std::string err;
+  ASSERT_TRUE(core.Create("fed", "HK-Minimum", &err)) << err;
+  ASSERT_TRUE(core.Create("idle", kSpec, &err)) << err;
+  SourceBinding binding;
+  binding.source = Capture().path;
+  ASSERT_TRUE(core.Attach("fed", binding, &err)) << err;
+  core.DrainIngest();
+  const auto checkpoint_bytes = [&] {
+    EXPECT_TRUE(core.WriteCheckpoint(&err)) << err;
+    std::ifstream in(ckpt, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  };
+  const std::string first = checkpoint_bytes();
+  const std::string second = checkpoint_bytes();
+  EXPECT_FALSE(first.empty());
+  EXPECT_TRUE(first == second) << first.size() << " bytes, then " << second.size();
+  CheckpointManifest manifest;
+  ASSERT_TRUE(LoadCheckpoint(ckpt, &manifest, &err)) << err;
+  ASSERT_EQ(manifest.instances.size(), 2u);
+  EXPECT_EQ(manifest.instances[0].packets_applied, Capture().trace.packets.size());
+  std::remove(ckpt.c_str());
 }
 
 // The recovery skip reads in ingest_batch bursts and must stop exactly at

@@ -186,6 +186,14 @@ TEST(RegistryTest, RejectsOutOfRangeAndNegativeValues) {
   for (const char* b : {"1", "0.5", "-3", "nan", "inf"}) {
     EXPECT_THROW(MakeSketch(std::string("HK-Minimum:b=") + b), std::invalid_argument) << b;
   }
+  // Sizes whose byte count or power-of-two rounding overflows a size_t:
+  // k = 2^60 store slots (the slot map's bytes wrapped to 0, and its
+  // zero-fill wrote past a tiny allocation) and a ring of 2^63 (the
+  // rounding wrapped to 0 and looped forever). Both throw before any
+  // allocation.
+  EXPECT_THROW(MakeSketch("HK-Minimum:k=1152921504606846976"), std::length_error);
+  EXPECT_THROW(MakeSketch("Sharded:n=1,threads=1,ring=9223372036854775808,inner=HK-Minimum"),
+               std::length_error);
 }
 
 }  // namespace
