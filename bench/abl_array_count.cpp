@@ -20,7 +20,14 @@ int main() {
   for (const size_t d : {1, 2, 3, 4}) {
     std::vector<double> row;
     for (const auto version : {HkVersion::kParallel, HkVersion::kMinimum}) {
-      auto algo = HeavyKeeperTopK<>::FromMemory(version, 20 * 1024, 100, 13, 1, d);
+      auto algo = HeavyKeeperTopK<>::Builder()
+                      .version(version)
+                      .memory_bytes(20 * 1024)
+                      .k(100)
+                      .key_kind(KeyKind::kFiveTuple13B)
+                      .seed(1)
+                      .d(d)
+                      .Build();
       for (const FlowId id : ds.trace.packets) {
         algo->Insert(id);
       }

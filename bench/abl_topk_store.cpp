@@ -17,7 +17,13 @@ template <typename Store>
 double RunMps(const hk::bench::Dataset& ds, size_t kb, double* precision) {
   using namespace hk;
   using namespace hk::bench;
-  auto algo = HeavyKeeperTopK<Store>::FromMemory(HkVersion::kParallel, kb * 1024, 100, 13, 1);
+  auto algo = typename HeavyKeeperTopK<Store>::Builder()
+                  .version(HkVersion::kParallel)
+                  .memory_bytes(kb * 1024)
+                  .k(100)
+                  .key_kind(KeyKind::kFiveTuple13B)
+                  .seed(1)
+                  .Build();
   WallTimer timer;
   for (const FlowId id : ds.trace.packets) {
     algo->Insert(id);

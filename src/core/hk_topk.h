@@ -81,9 +81,9 @@ class HeavyKeeperTopK : public TopKAlgorithm {
             "hk_core_packets_total",
             "Packets applied through the HeavyKeeper pipelines (batch and scalar)")) {}
 
-  // Fluent construction; subsumes the positional FromMemory() call. The
-  // KeyKind -> key_bytes derivation lives here (and in the sketch
-  // registry) and nowhere else.
+  // Fluent construction, the one way to size a pipeline from a byte
+  // budget. The KeyKind -> key_bytes derivation lives here (and in the
+  // sketch registry) and nowhere else.
   //
   //   auto topk = HeavyKeeperTopK<>::Builder()
   //                   .version(HkVersion::kMinimum)
@@ -168,18 +168,6 @@ class HeavyKeeperTopK : public TopKAlgorithm {
     size_t max_arrays_ = 8;
     SimdMode simd_ = SimdMode::kAuto;
   };
-
-  // Legacy positional construction (prefer Builder). The paper's default
-  // configuration for a byte budget: the store gets k entries, HeavyKeeper
-  // gets every remaining byte, d = 2.
-  static std::unique_ptr<HeavyKeeperTopK> FromMemory(HkVersion version, size_t bytes, size_t k,
-                                                     size_t key_bytes, uint64_t seed = 1,
-                                                     size_t d = 2) {
-    const size_t store_bytes = k * Store::BytesPerEntry(key_bytes);
-    const size_t sketch_bytes = bytes > store_bytes ? bytes - store_bytes : 0;
-    return std::make_unique<HeavyKeeperTopK>(
-        version, HeavyKeeperConfig::FromMemory(sketch_bytes, d, seed), k, key_bytes);
-  }
 
   void Insert(FlowId id) override {
     tm_packets_->Add();

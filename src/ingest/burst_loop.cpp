@@ -68,92 +68,6 @@ class Filler {
   uint64_t carry_ns_ = 0;
 };
 
-// How long a waiting side spins before it sleeps. The other side usually
-// moves within one burst's time, tens of microseconds. When both sides
-// slept at once, the woken thread was placed on its waker's CPU so often
-// that the two took turns on one CPU: on a 4-vCPU VM a 1M-record replay
-// into a 1 MB HK-Minimum ran at the serial rate (8.5-9.6 M/s, the
-// applier waiting on an empty ring once every 7 bursts), against
-// 20.4-22.3 M/s with this spin.
-constexpr std::chrono::microseconds kSpinBeforeSleep{100};
-
-inline void CpuRelax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield");
-#endif
-}
-
-// Return once `events` differs from `seen`: spin for kSpinBeforeSleep, then
-// sleep in a futex wait, so an idle source costs no CPU.
-void AwaitChange(const std::atomic<uint32_t>& events, uint32_t seen) {
-  const auto deadline = std::chrono::steady_clock::now() + kSpinBeforeSleep;
-  do {
-    for (int i = 0; i < 64; ++i) {
-      if (events.load(std::memory_order_acquire) != seen) {
-        return;
-      }
-      CpuRelax();
-    }
-  } while (std::chrono::steady_clock::now() < deadline);
-  events.wait(seen, std::memory_order_acquire);
-}
-
-// Filled slot indices in capture order, from the parse thread to the
-// applying thread, with blocking waits on both sides. Each side bumps an
-// event count after it moves the ring and the other side waits on it; a
-// waiter reads the count before it tries the ring, so a change it missed
-// ends its wait at once.
-class BurstQueue {
- public:
-  size_t capacity() const { return ring_.capacity(); }
-
-  // Parser side. False once the applier has closed the queue.
-  bool Push(uint32_t slot) {
-    for (;;) {
-      const uint32_t seen = pops_.load(std::memory_order_acquire);
-      if (ring_.TryPush(slot)) {
-        pushes_.fetch_add(1, std::memory_order_release);
-        pushes_.notify_one();
-        return true;
-      }
-      if (closed_.load(std::memory_order_acquire)) {
-        return false;
-      }
-      AwaitChange(pops_, seen);
-    }
-  }
-
-  // Applier side. The parser always ends with a count-0 slot unless the
-  // queue was closed, so this cannot wait forever on a live parser.
-  uint32_t Pop() {
-    for (;;) {
-      const uint32_t seen = pushes_.load(std::memory_order_acquire);
-      uint32_t slot = 0;
-      if (ring_.TryPop(&slot)) {
-        pops_.fetch_add(1, std::memory_order_release);
-        pops_.notify_one();
-        return slot;
-      }
-      AwaitChange(pushes_, seen);
-    }
-  }
-
-  // Applier side, on its way out: a parser waiting for room gives up.
-  void Close() {
-    closed_.store(true, std::memory_order_release);
-    pops_.fetch_add(1, std::memory_order_release);
-    pops_.notify_one();
-  }
-
- private:
-  SpscRing<uint32_t> ring_{kAheadBursts};
-  std::atomic<uint32_t> pushes_{0};
-  std::atomic<uint32_t> pops_{0};
-  std::atomic<bool> closed_{false};
-};
-
 }  // namespace
 
 bool ParsesAhead(const TopKAlgorithm& target) { return target.WorkerThreads() == 0; }
@@ -176,10 +90,12 @@ void RunBurstLoop(PcapReader& reader, const TopKAlgorithm& target, const BurstLo
   };
 
   if (ParsesAhead(target)) {
-    BurstQueue queue;
-    // The ring holds capacity() filled slots; one more is being applied and
-    // one more filled, so the parser never refills a slot still in use.
-    std::vector<BurstSlot> slots(queue.capacity() + 2, BurstSlot(batch));
+    // Filled slot indices in capture order, from the parse thread to this
+    // one. The ring holds capacity() filled slots; one more is being
+    // applied and one more filled, so the parser never refills a slot
+    // still in use.
+    SpscRing<uint32_t> filled(kAheadBursts);
+    std::vector<BurstSlot> slots(filled.capacity() + 2, BurstSlot(batch));
     std::exception_ptr parse_error;  // rethrown here once the parser is joined
     std::thread parser;
     try {
@@ -196,7 +112,7 @@ void RunBurstLoop(PcapReader& reader, const TopKAlgorithm& target, const BurstLo
             }
           }
           const bool more = slot.count == batch;
-          if (!queue.Push(next) || !more) {
+          if (filled.Push(std::span<const uint32_t>(&next, 1)) == 0 || !more) {
             return;
           }
         }
@@ -205,12 +121,16 @@ void RunBurstLoop(PcapReader& reader, const TopKAlgorithm& target, const BurstLo
       // No thread to spare: parse inline below, as for a threaded target.
     }
     if (parser.joinable()) {
+      // On the way out: a parser waiting for room gives up.
       const auto join = [&] {
-        queue.Close();
+        filled.Close();
         parser.join();
       };
+      // The parser always ends with a short or empty slot unless the ring
+      // was closed, so Pop cannot wait forever on a live parser.
+      uint32_t index = 0;
       try {
-        while (deliver(slots[queue.Pop()])) {
+        while (filled.Pop(std::span<uint32_t>(&index, 1)) > 0 && deliver(slots[index])) {
         }
       } catch (...) {
         join();

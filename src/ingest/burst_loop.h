@@ -22,11 +22,12 @@
 // its last burst short so that the first applied burst starts right after
 // it.
 //
-// Waits block. An empty ring parks the applying thread and a full one the
-// parser, on C++20 atomic wait/notify, after a spin of 100 us that covers
-// the usual wait of one burst (see burst_loop.cpp for why it must). An
+// Waits block. The slot hand-off is an SpscRing, whose Pop parks the
+// applying thread on an empty ring and whose Push parks the parser on a
+// full one (common/spsc_ring.h: a 100 us spin, then a futex wait). An
 // idle live source costs no CPU: the parser sleeps in read() and the
-// applier in a futex wait.
+// applier in the ring's wait. On its way out the applier closes the ring,
+// so a parser waiting for room exits and is joined.
 //
 // The loop ends at end of stream, at a malformed-container stop, or once
 // *stop is set (checked between bursts, on both threads). The parse thread

@@ -1,59 +1,21 @@
 #include "ingest/byte_source.h"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <utility>
 
 namespace hk {
 namespace {
 
-class FileByteSource final : public ByteSource {
- public:
-  explicit FileByteSource(const std::string& path) {
-    if (path == "-") {
-      file_ = stdin;
-      owned_ = false;
-      return;
-    }
-    file_ = std::fopen(path.c_str(), "rb");
-    if (file_ == nullptr) {
-      error_ = "cannot open " + path;
-    }
-  }
-
-  ~FileByteSource() override {
-    if (file_ != nullptr && owned_) {
-      std::fclose(file_);
-    }
-  }
-
-  size_t Read(uint8_t* out, size_t max_bytes) override {
-    if (file_ == nullptr || max_bytes == 0) {
-      return 0;
-    }
-    const size_t got = std::fread(out, 1, max_bytes, file_);
-    if (got == 0 && std::ferror(file_) != 0) {
-      error_ = "read error";
-    }
-    return got;
-  }
-
-  bool ok() const override { return error_.empty(); }
-  std::string error() const override { return error_; }
-
- private:
-  std::FILE* file_ = nullptr;
-  bool owned_ = true;
-  std::string error_;
-};
-
 class FdByteSource final : public ByteSource {
  public:
-  FdByteSource(int fd, bool own_fd) : fd_(fd), own_(own_fd) {}
+  // A negative `fd` reads nothing and reports `error`.
+  FdByteSource(int fd, bool own_fd, std::string error = {})
+      : fd_(fd), own_(own_fd), error_(std::move(error)) {}
 
   ~FdByteSource() override {
     if (own_ && fd_ >= 0) {
@@ -108,7 +70,12 @@ class BufferByteSource final : public ByteSource {
 }  // namespace
 
 std::unique_ptr<ByteSource> MakeFileByteSource(const std::string& path) {
-  return std::make_unique<FileByteSource>(path);
+  if (path == "-") {
+    return std::make_unique<FdByteSource>(STDIN_FILENO, /*own_fd=*/false);
+  }
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  std::string error = fd < 0 ? "cannot open " + path : std::string();
+  return std::make_unique<FdByteSource>(fd, /*own_fd=*/true, std::move(error));
 }
 
 std::unique_ptr<ByteSource> MakeFdByteSource(int fd, bool own_fd) {

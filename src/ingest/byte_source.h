@@ -2,11 +2,11 @@
 // mode and the hk_serve ingest loop.
 //
 // Read() blocks until at least one byte is available and returns the
-// number of bytes copied out; 0 means end-of-stream or error, and ok()
-// distinguishes the two. Implementations cover the three live-source
-// shapes the daemon binds: a regular file (or stdin via "-"), a raw file
-// descriptor (pipes, TCP sockets), and an in-memory buffer that tests use
-// with tiny chunk sizes to force refill boundaries at every offset.
+// number of bytes copied out, never waiting for more than that; 0 means
+// end-of-stream or error, and ok() distinguishes the two. Two
+// implementations: a file descriptor (a path opened for reading, stdin via
+// "-", pipes, TCP sockets), and an in-memory buffer that tests use with
+// tiny chunk sizes to force refill boundaries at every offset.
 #ifndef HK_INGEST_BYTE_SOURCE_H_
 #define HK_INGEST_BYTE_SOURCE_H_
 
@@ -30,7 +30,10 @@ class ByteSource {
   virtual std::string error() const { return std::string(); }
 };
 
-// Buffered stdio source; path "-" reads stdin (not closed on destruction).
+// Opens `path` for reading (a FIFO's open waits for a writer) as an fd
+// source; "-" reads stdin, which is not closed on destruction. A path that
+// does not open yields a source whose ok() is false with "cannot open
+// <path>".
 std::unique_ptr<ByteSource> MakeFileByteSource(const std::string& path);
 
 // Raw-descriptor source (pipes, sockets). Retries EINTR; closes the

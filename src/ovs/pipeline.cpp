@@ -36,8 +36,6 @@ PipelineResult RunPipelines(const std::vector<RawPacket>& packets, const Algorit
     algorithms.push_back(i == 0 ? first : (make ? make(i) : nullptr));
   }
 
-  constexpr FlowId kEndOfStream = 0;  // real ids are full-width hashes, never 0
-
   WallTimer timer;
   std::vector<std::thread> threads;
   threads.reserve(2 * n);
@@ -45,30 +43,17 @@ PipelineResult RunPipelines(const std::vector<RawPacket>& packets, const Algorit
     threads.emplace_back([&, i] {
       SimulatedDatapath& dp = *datapaths[i];
       SpscRing<FlowId>& ring = *rings[i];
-      // Parse + cache-lookup a burst at a time, then publish it; the
-      // batched datapath keeps the producer's tight loop in cache while
-      // the ring applies back-pressure per packet.
+      // Parse + cache-lookup a burst at a time, then publish it with one
+      // Push; a full ring back-pressures the datapath inside it. Close
+      // ends the stream.
       constexpr size_t kProduceBatch = 256;
       FlowId ids[kProduceBatch];
       for (size_t base = 0; base < packets.size(); base += kProduceBatch) {
         const size_t m = std::min(kProduceBatch, packets.size() - base);
         dp.ProcessBatch(packets.data() + base, m, ids);
-        for (size_t j = 0; j < m; ++j) {
-          FlowId id = ids[j];
-          if (id == kEndOfStream) {
-            id = 1;  // avoid colliding with the sentinel
-          }
-          size_t spins = 0;  // per packet: a successful push resets the backoff
-          while (!ring.TryPush(id)) {
-            // Ring full: the measurement consumer back-pressures the datapath.
-            Backoff(spins);
-          }
-        }
+        ring.Push(std::span<const FlowId>(ids, m));
       }
-      size_t spins = 0;
-      while (!ring.TryPush(kEndOfStream)) {
-        Backoff(spins);
-      }
+      ring.Close();
     });
     threads.emplace_back([&, i] {
       SpscRing<FlowId>& ring = *rings[i];
@@ -78,25 +63,10 @@ PipelineResult RunPipelines(const std::vector<RawPacket>& packets, const Algorit
       // datapath keeps filling the ring.
       constexpr size_t kDrainBatch = 256;
       FlowId batch[kDrainBatch];
-      bool done = false;
-      size_t spins = 0;
-      while (!done) {
-        size_t n = 0;
-        FlowId id;
-        while (n < kDrainBatch && ring.TryPop(&id)) {
-          if (id == kEndOfStream) {
-            done = true;
-            break;
-          }
-          batch[n++] = id;
-        }
-        if (n > 0) {
-          if (algo != nullptr) {
-            algo->InsertBatch(std::span<const FlowId>(batch, n));
-          }
-          spins = 0;
-        } else if (!done) {
-          Backoff(spins);
+      size_t got = 0;
+      while ((got = ring.Pop(batch)) > 0) {
+        if (algo != nullptr) {
+          algo->InsertBatch(std::span<const FlowId>(batch, got));
         }
       }
       if (algo != nullptr) {

@@ -1,8 +1,10 @@
 // End-to-end measurement pipeline over the simulated OVS deployment
 // (Section VII-B): per pipeline, a datapath (producer) thread parses and
-// forwards packets, publishing flow IDs into the shared-memory ring; a
-// user-space (consumer) thread drains the ring into a measurement
-// algorithm. Several pipelines run in parallel (the paper uses 4 threads);
+// forwards packets, publishing flow IDs into the shared-memory ring
+// (common/spsc_ring.h) a burst per Push; a user-space (consumer) thread
+// Pops bursts into a measurement algorithm. The producer's Close after its
+// last Push ends the stream: Pop returns 0 once the ring is closed and
+// drained. Several pipelines run in parallel (the paper uses 4 threads);
 // throughput is total packets over wall time. When the consumer is slower
 // than the datapath the ring fills and back-pressures the datapath - the
 // effect Figure 34 quantifies per algorithm.

@@ -1,6 +1,9 @@
 #include "shard/sharded_topk.h"
 
+#include <algorithm>
+#include <chrono>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "common/byte_io.h"
@@ -89,13 +92,16 @@ void ShardedTopK::InitShards(std::vector<std::unique_ptr<TopKAlgorithm>> inners)
 }
 
 ShardedTopK::~ShardedTopK() {
-  if (options_.threaded) {
-    // Workers drain their rings before exiting, so packets enqueued right
-    // up to destruction are still applied (shutdown-while-draining).
-    stop_.store(true, std::memory_order_release);
-    for (auto& worker : workers_) {
-      worker.join();
+  // Closing a ring lets its worker apply what is still queued, then exit,
+  // so packets enqueued right up to destruction are applied
+  // (shutdown-while-draining).
+  for (const auto& shard : shards_) {
+    if (shard->ring != nullptr) {
+      shard->ring->Close();
     }
+  }
+  for (auto& worker : workers_) {
+    worker.join();
   }
 }
 
@@ -110,50 +116,44 @@ void ShardedTopK::PushRun(Shard& shard, std::span<const FlowId> ids, const uint6
   const uint64_t depth =
       shard.queued.fetch_add(ids.size(), std::memory_order_relaxed) + ids.size();
   tm_ring_highwater_->MaxTo(static_cast<int64_t>(depth));
-  for (size_t i = 0; i < ids.size(); ++i) {
-    const Packet packet{ids[i], weights != nullptr ? weights[i] : 1};
-    size_t spins = 0;  // per packet: a successful push resets the backoff
-    while (!shard.ring->TryPush(packet)) {
-      Backoff(spins);  // ring full: the shard back-pressures the producer
+  // One Push per chunk; a full ring back-pressures the producer inside it.
+  constexpr size_t kChunk = 256;
+  Packet chunk[kChunk];
+  for (size_t base = 0; base < ids.size(); base += kChunk) {
+    const size_t n = std::min(kChunk, ids.size() - base);
+    for (size_t i = 0; i < n; ++i) {
+      chunk[i] = {ids[base + i], weights != nullptr ? weights[base + i] : 1};
     }
+    shard.ring->Push(std::span<const Packet>(chunk, n));
   }
 }
 
 void ShardedTopK::WorkerLoop(size_t shard_index) {
   Shard& shard = *shards_[shard_index];
+  std::vector<Packet> packets(options_.drain_burst);
   std::vector<FlowId> ids(options_.drain_burst);
   std::vector<uint64_t> weights(options_.drain_burst);
-  size_t spins = 0;
-  for (;;) {
-    size_t n = 0;
+  // Pop sleeps while the ring is empty and returns 0 once the destructor
+  // has closed it and everything queued before has been taken.
+  while (const size_t n = shard.ring->Pop(packets)) {
     bool unit_weights = true;
-    Packet packet;
-    while (n < options_.drain_burst && shard.ring->TryPop(&packet)) {
-      ids[n] = packet.id;
-      weights[n] = packet.weight;
-      unit_weights &= packet.weight == 1;
-      ++n;
+    for (size_t i = 0; i < n; ++i) {
+      ids[i] = packets[i].id;
+      weights[i] = packets[i].weight;
+      unit_weights &= packets[i].weight == 1;
     }
-    if (n > 0) {
-      // Drain through the inner batch fast path; a run of unit weights
-      // takes the software-pipelined unweighted entry point.
-      {
-        const std::lock_guard<std::mutex> lock(shard.mu);
-        if (unit_weights) {
-          shard.algo->InsertBatch(std::span<const FlowId>(ids.data(), n));
-        } else {
-          shard.algo->InsertBatch(std::span<const FlowId>(ids.data(), n),
-                                  std::span<const uint64_t>(weights.data(), n));
-        }
+    // Drain through the inner batch fast path; a run of unit weights
+    // takes the software-pipelined unweighted entry point.
+    {
+      const std::lock_guard<std::mutex> lock(shard.mu);
+      if (unit_weights) {
+        shard.algo->InsertBatch(std::span<const FlowId>(ids.data(), n));
+      } else {
+        shard.algo->InsertBatch(std::span<const FlowId>(ids.data(), n),
+                                std::span<const uint64_t>(weights.data(), n));
       }
-      shard.queued.fetch_sub(n, std::memory_order_release);
-      spins = 0;
-      continue;
     }
-    if (stop_.load(std::memory_order_acquire) && shard.ring->Empty()) {
-      break;
-    }
-    Backoff(spins);
+    shard.queued.fetch_sub(n, std::memory_order_release);
   }
 }
 
@@ -161,10 +161,14 @@ void ShardedTopK::WaitIdle() const {
   if (!options_.threaded) {
     return;
   }
+  // Sleeps in short steps rather than in a wait a worker would end. On a
+  // 4-vCPU VM, a querying thread woken by a worker's notify, or one that
+  // spun beside the workers, slowed hk_serve ingest into e2ebench
+  // caida-sharded's Sharded:n=2 from 18-19 to 11-13 Mpps: STATS drains the
+  // rings under the instance lock, and the benchmark polls it every 1 ms.
   for (const auto& shard : shards_) {
-    size_t spins = 0;
     while (shard->queued.load(std::memory_order_acquire) != 0) {
-      Backoff(spins);
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
   }
 }

@@ -16,7 +16,8 @@
 //   * Threaded (threads=1): each shard gets an SPSC ring (common/spsc_ring.h)
 //     and a worker thread that drains it in bursts through InsertBatch.
 //     The caller's thread is the single producer; workers are the single
-//     consumers. A full ring back-pressures the producer.
+//     consumers. A full ring back-pressures the producer; an empty one
+//     puts its worker to sleep, so an idle instance costs no CPU.
 //
 // Determinism: the partition depends only on the flow id, each ring is
 // FIFO, and the inner batch path is contractually identical to the scalar
@@ -29,9 +30,10 @@
 // Query semantics: TopK() waits for all queued packets to drain, then
 // unions the per-shard reports (shard/merge.h - a flow's estimate is its
 // owning shard's estimate, unchanged). EstimateSize() asks the owning
-// shard. Flush() blocks until every accepted packet has been applied;
-// destruction drains outstanding packets before joining the workers, so a
-// shutdown mid-burst loses nothing. In threaded mode Snapshot(kRelaxed)
+// shard. Flush() blocks until every accepted packet has been applied.
+// The destructor closes every ring; each worker applies what is still
+// queued before it exits and is joined, so a shutdown mid-burst loses
+// nothing. In threaded mode Snapshot(kRelaxed)
 // skips the drain: it reads each shard between two of its worker's bursts
 // and merges what it finds, so it waits for at most one burst per shard
 // and never for a ring.
@@ -150,8 +152,8 @@ class ShardedTopK : public TopKAlgorithm {
 
  private:
   struct Packet {
-    FlowId id = 0;
-    uint64_t weight = 0;
+    FlowId id;
+    uint64_t weight;
   };
 
   struct Shard {
@@ -192,7 +194,6 @@ class ShardedTopK : public TopKAlgorithm {
   telemetry::Gauge* tm_ring_highwater_ = nullptr;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::thread> workers_;
-  std::atomic<bool> stop_{false};
 };
 
 }  // namespace hk

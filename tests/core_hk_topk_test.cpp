@@ -26,7 +26,13 @@ class HkVersionSweep : public ::testing::TestWithParam<HkVersion> {};
 TEST_P(HkVersionSweep, HighPrecisionOnSkewedStream) {
   const Trace trace = SkewedTrace(31);
   Oracle oracle(trace);
-  auto algo = HeavyKeeperTopK<>::FromMemory(GetParam(), 50 * 1024, 100, 4, 1);
+  auto algo = HeavyKeeperTopK<>::Builder()
+                  .version(GetParam())
+                  .memory_bytes(50 * 1024)
+                  .k(100)
+                  .key_kind(KeyKind::kSynthetic4B)
+                  .seed(1)
+                  .Build();
   for (const FlowId id : trace.packets) {
     algo->Insert(id);
   }
@@ -58,8 +64,20 @@ TEST_P(HkVersionSweep, EstimatesNeverExceedTruthWithWideFingerprints) {
 
 TEST_P(HkVersionSweep, DeterministicAcrossRuns) {
   const Trace trace = SkewedTrace(41, 50000);
-  auto a = HeavyKeeperTopK<>::FromMemory(GetParam(), 20 * 1024, 50, 4, 9);
-  auto b = HeavyKeeperTopK<>::FromMemory(GetParam(), 20 * 1024, 50, 4, 9);
+  auto a = HeavyKeeperTopK<>::Builder()
+               .version(GetParam())
+               .memory_bytes(20 * 1024)
+               .k(50)
+               .key_kind(KeyKind::kSynthetic4B)
+               .seed(9)
+               .Build();
+  auto b = HeavyKeeperTopK<>::Builder()
+               .version(GetParam())
+               .memory_bytes(20 * 1024)
+               .k(50)
+               .key_kind(KeyKind::kSynthetic4B)
+               .seed(9)
+               .Build();
   for (const FlowId id : trace.packets) {
     a->Insert(id);
     b->Insert(id);
@@ -80,7 +98,13 @@ INSTANTIATE_TEST_SUITE_P(Versions, HkVersionSweep,
 
 TEST(HkTopKTest, MemoryBudgetSplitsStoreAndSketch) {
   const size_t budget = 30 * 1024;
-  auto algo = HeavyKeeperTopK<>::FromMemory(HkVersion::kParallel, budget, 100, 13, 1);
+  auto algo = HeavyKeeperTopK<>::Builder()
+                  .version(HkVersion::kParallel)
+                  .memory_bytes(budget)
+                  .k(100)
+                  .key_kind(KeyKind::kFiveTuple13B)
+                  .seed(1)
+                  .Build();
   EXPECT_LE(algo->MemoryBytes(), budget + 8);
   EXPECT_GT(algo->MemoryBytes(), budget * 9 / 10);
   // Store: k entries; sketch gets the rest.
@@ -88,8 +112,20 @@ TEST(HkTopKTest, MemoryBudgetSplitsStoreAndSketch) {
 }
 
 TEST(HkTopKTest, NameEncodesVersion) {
-  auto p = HeavyKeeperTopK<>::FromMemory(HkVersion::kParallel, 1024, 10, 4, 1);
-  auto m = HeavyKeeperTopK<>::FromMemory(HkVersion::kMinimum, 1024, 10, 4, 1);
+  auto p = HeavyKeeperTopK<>::Builder()
+               .version(HkVersion::kParallel)
+               .memory_bytes(1024)
+               .k(10)
+               .key_kind(KeyKind::kSynthetic4B)
+               .seed(1)
+               .Build();
+  auto m = HeavyKeeperTopK<>::Builder()
+               .version(HkVersion::kMinimum)
+               .memory_bytes(1024)
+               .k(10)
+               .key_kind(KeyKind::kSynthetic4B)
+               .seed(1)
+               .Build();
   EXPECT_EQ(p->name(), "HeavyKeeper-Parallel");
   EXPECT_EQ(m->name(), "HeavyKeeper-Minimum");
 }
@@ -99,7 +135,13 @@ TEST(HkTopKTest, OptimizationIAdmissionOnlyAtNminPlusOne) {
   // flow whose estimate is exactly nmin+1 (Theorem 1). We verify admission
   // bookkeeping stays consistent on a random stream.
   const Trace trace = SkewedTrace(43, 100000);
-  auto algo = HeavyKeeperTopK<>::FromMemory(HkVersion::kParallel, 20 * 1024, 20, 4, 3);
+  auto algo = HeavyKeeperTopK<>::Builder()
+                  .version(HkVersion::kParallel)
+                  .memory_bytes(20 * 1024)
+                  .k(20)
+                  .key_kind(KeyKind::kSynthetic4B)
+                  .seed(3)
+                  .Build();
   for (const FlowId id : trace.packets) {
     algo->Insert(id);
   }
@@ -137,8 +179,20 @@ TEST(HkTopKTest, MinimumBeatsParallelUnderTightMemory) {
   const Trace trace = SkewedTrace(47, 300000);
   Oracle oracle(trace);
   const size_t budget = 6 * 1024;
-  auto parallel = HeavyKeeperTopK<>::FromMemory(HkVersion::kParallel, budget, 100, 4, 1);
-  auto minimum = HeavyKeeperTopK<>::FromMemory(HkVersion::kMinimum, budget, 100, 4, 1);
+  auto parallel = HeavyKeeperTopK<>::Builder()
+                      .version(HkVersion::kParallel)
+                      .memory_bytes(budget)
+                      .k(100)
+                      .key_kind(KeyKind::kSynthetic4B)
+                      .seed(1)
+                      .Build();
+  auto minimum = HeavyKeeperTopK<>::Builder()
+                     .version(HkVersion::kMinimum)
+                     .memory_bytes(budget)
+                     .k(100)
+                     .key_kind(KeyKind::kSynthetic4B)
+                     .seed(1)
+                     .Build();
   for (const FlowId id : trace.packets) {
     parallel->Insert(id);
     minimum->Insert(id);
@@ -151,8 +205,13 @@ TEST(HkTopKTest, MinimumBeatsParallelUnderTightMemory) {
 TEST(HkTopKTest, StreamSummaryBackendWorksEndToEnd) {
   const Trace trace = SkewedTrace(53, 100000);
   Oracle oracle(trace);
-  auto algo = HeavyKeeperTopK<SummaryTopKStore>::FromMemory(HkVersion::kParallel, 30 * 1024,
-                                                            100, 4, 1);
+  auto algo = HeavyKeeperTopK<SummaryTopKStore>::Builder()
+                  .version(HkVersion::kParallel)
+                  .memory_bytes(30 * 1024)
+                  .k(100)
+                  .key_kind(KeyKind::kSynthetic4B)
+                  .seed(1)
+                  .Build();
   for (const FlowId id : trace.packets) {
     algo->Insert(id);
   }
@@ -161,7 +220,13 @@ TEST(HkTopKTest, StreamSummaryBackendWorksEndToEnd) {
 }
 
 TEST(HkTopKTest, EstimateSizeFallsBackToSketch) {
-  auto algo = HeavyKeeperTopK<>::FromMemory(HkVersion::kParallel, 10 * 1024, 2, 4, 1);
+  auto algo = HeavyKeeperTopK<>::Builder()
+                  .version(HkVersion::kParallel)
+                  .memory_bytes(10 * 1024)
+                  .k(2)
+                  .key_kind(KeyKind::kSynthetic4B)
+                  .seed(1)
+                  .Build();
   // Fill the tiny store with two hot flows.
   for (int i = 0; i < 100; ++i) {
     algo->Insert(1);

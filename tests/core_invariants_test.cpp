@@ -129,7 +129,13 @@ TEST_P(PipelinePrecisionSweep, PrecisionScalesWithSkew) {
   const Trace trace = MakeZipfTrace(tconfig);
   Oracle oracle(trace);
 
-  auto algo = HeavyKeeperTopK<>::FromMemory(version, 40 * 1024, 50, 4, seed);
+  auto algo = HeavyKeeperTopK<>::Builder()
+                  .version(version)
+                  .memory_bytes(40 * 1024)
+                  .k(50)
+                  .key_kind(KeyKind::kSynthetic4B)
+                  .seed(seed)
+                  .Build();
   for (const FlowId id : trace.packets) {
     algo->Insert(id);
   }

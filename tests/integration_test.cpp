@@ -57,7 +57,13 @@ TEST_F(IntegrationFixture, HeavyKeeperDominatesBaselinesUnderTightMemory) {
   constexpr size_t kK = 100;
   constexpr size_t kKeyBytes = 13;
 
-  auto hk = HeavyKeeperTopK<>::FromMemory(HkVersion::kParallel, kBudget, kK, kKeyBytes, 1);
+  auto hk = HeavyKeeperTopK<>::Builder()
+                .version(HkVersion::kParallel)
+                .memory_bytes(kBudget)
+                .k(kK)
+                .key_kind(KeyKind::kFiveTuple13B)
+                .seed(1)
+                .Build();
   auto ss = SpaceSaving::FromMemory(kBudget, kKeyBytes);
   auto lc = LossyCounting::FromMemory(kBudget, kKeyBytes);
   auto css = Css::FromMemory(kBudget, 1);
@@ -86,7 +92,13 @@ TEST_F(IntegrationFixture, AreOrderingMatchesFigure9) {
   // every tracked count while HeavyKeeper's decay keeps elephants exact.
   constexpr size_t kBudget = 8 * 1024;
   constexpr size_t kK = 100;
-  auto hk = HeavyKeeperTopK<>::FromMemory(HkVersion::kParallel, kBudget, kK, 13, 2);
+  auto hk = HeavyKeeperTopK<>::Builder()
+                .version(HkVersion::kParallel)
+                .memory_bytes(kBudget)
+                .k(kK)
+                .key_kind(KeyKind::kFiveTuple13B)
+                .seed(2)
+                .Build();
   auto ss = SpaceSaving::FromMemory(kBudget, 13);
   for (const FlowId id : trace_->packets) {
     hk->Insert(id);
@@ -101,8 +113,20 @@ TEST_F(IntegrationFixture, AreOrderingMatchesFigure9) {
 TEST_F(IntegrationFixture, EveryAlgorithmRespectsItsMemoryBudget) {
   constexpr size_t kBudget = 25 * 1024;
   std::vector<std::unique_ptr<TopKAlgorithm>> algos;
-  algos.push_back(HeavyKeeperTopK<>::FromMemory(HkVersion::kParallel, kBudget, 100, 13, 1));
-  algos.push_back(HeavyKeeperTopK<>::FromMemory(HkVersion::kMinimum, kBudget, 100, 13, 1));
+  algos.push_back(HeavyKeeperTopK<>::Builder()
+                      .version(HkVersion::kParallel)
+                      .memory_bytes(kBudget)
+                      .k(100)
+                      .key_kind(KeyKind::kFiveTuple13B)
+                      .seed(1)
+                      .Build());
+  algos.push_back(HeavyKeeperTopK<>::Builder()
+                      .version(HkVersion::kMinimum)
+                      .memory_bytes(kBudget)
+                      .k(100)
+                      .key_kind(KeyKind::kFiveTuple13B)
+                      .seed(1)
+                      .Build());
   algos.push_back(SpaceSaving::FromMemory(kBudget, 13));
   algos.push_back(LossyCounting::FromMemory(kBudget, 13));
   algos.push_back(Frequent::FromMemory(kBudget, 13));
@@ -122,7 +146,13 @@ TEST_F(IntegrationFixture, EveryAlgorithmRespectsItsMemoryBudget) {
 TEST_F(IntegrationFixture, AllAlgorithmsProduceNonEmptyTopK) {
   constexpr size_t kBudget = 25 * 1024;
   std::vector<std::unique_ptr<TopKAlgorithm>> algos;
-  algos.push_back(HeavyKeeperTopK<>::FromMemory(HkVersion::kBasic, kBudget, 50, 13, 1));
+  algos.push_back(HeavyKeeperTopK<>::Builder()
+                      .version(HkVersion::kBasic)
+                      .memory_bytes(kBudget)
+                      .k(50)
+                      .key_kind(KeyKind::kFiveTuple13B)
+                      .seed(1)
+                      .Build());
   algos.push_back(SpaceSaving::FromMemory(kBudget, 13));
   algos.push_back(LossyCounting::FromMemory(kBudget, 13));
   algos.push_back(Frequent::FromMemory(kBudget, 13));
@@ -153,8 +183,20 @@ TEST_F(IntegrationFixture, AllAlgorithmsProduceNonEmptyTopK) {
 
 TEST_F(IntegrationFixture, DeterministicEndToEnd) {
   constexpr size_t kBudget = 15 * 1024;
-  auto a = HeavyKeeperTopK<>::FromMemory(HkVersion::kMinimum, kBudget, 100, 13, 42);
-  auto b = HeavyKeeperTopK<>::FromMemory(HkVersion::kMinimum, kBudget, 100, 13, 42);
+  auto a = HeavyKeeperTopK<>::Builder()
+               .version(HkVersion::kMinimum)
+               .memory_bytes(kBudget)
+               .k(100)
+               .key_kind(KeyKind::kFiveTuple13B)
+               .seed(42)
+               .Build();
+  auto b = HeavyKeeperTopK<>::Builder()
+               .version(HkVersion::kMinimum)
+               .memory_bytes(kBudget)
+               .k(100)
+               .key_kind(KeyKind::kFiveTuple13B)
+               .seed(42)
+               .Build();
   for (const FlowId id : trace_->packets) {
     a->Insert(id);
     b->Insert(id);
@@ -167,7 +209,13 @@ TEST_F(IntegrationFixture, Figure10LargeMemoryConvergence) {
   // perfect precision (Figure 10).
   constexpr size_t kBudget = 1024 * 1024;
   constexpr size_t kK = 100;
-  auto hk = HeavyKeeperTopK<>::FromMemory(HkVersion::kParallel, kBudget, kK, 13, 3);
+  auto hk = HeavyKeeperTopK<>::Builder()
+                .version(HkVersion::kParallel)
+                .memory_bytes(kBudget)
+                .k(kK)
+                .key_kind(KeyKind::kFiveTuple13B)
+                .seed(3)
+                .Build();
   auto ss = SpaceSaving::FromMemory(kBudget, 13);
   const double p_hk = RunPrecision(*hk, kK);
   const double p_ss = RunPrecision(*ss, kK);

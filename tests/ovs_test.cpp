@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <numeric>
+#include <span>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
+#include "common/random.h"
 #include "common/spsc_ring.h"
 #include "ovs/datapath.h"
 #include "ovs/pipeline.h"
@@ -15,65 +21,154 @@ namespace {
 
 TEST(SpscRingTest, FifoOrderSingleThreaded) {
   SpscRing<int> ring(8);
-  const int cap = static_cast<int>(ring.capacity());
-  for (int i = 0; i < cap; ++i) {
-    EXPECT_TRUE(ring.TryPush(i));
+  const size_t cap = ring.capacity();
+  for (int start = 0; start < 3; ++start) {
+    // A full ring's worth, starting `start` slots into the buffer.
+    std::vector<int> in(cap);
+    std::iota(in.begin(), in.end(), start * 100);
+    EXPECT_EQ(ring.Push(in), cap);  // room for all of it: no wait
+    std::vector<int> out(cap + 1, -1);
+    EXPECT_EQ(ring.Pop(std::span<int>(out).first(3)), 3u);  // at most out.size()
+    EXPECT_EQ(ring.Pop(std::span<int>(out).subspan(3)), cap - 3);
+    out.resize(cap);
+    EXPECT_EQ(out, in);
+    // Nine elements a round in an eight-slot buffer: the next round starts
+    // one slot further in, and the third wraps.
+    EXPECT_EQ(ring.Push(std::vector<int>{7, 8}), 2u);
+    int two[2] = {};
+    EXPECT_EQ(ring.Pop(two), 2u);
+    EXPECT_EQ(two[0], 7);
+    EXPECT_EQ(two[1], 8);
   }
-  EXPECT_FALSE(ring.TryPush(99));  // full
-  for (int i = 0; i < cap; ++i) {
-    int v = -1;
-    EXPECT_TRUE(ring.TryPop(&v));
-    EXPECT_EQ(v, i);
-  }
-  int v;
-  EXPECT_FALSE(ring.TryPop(&v));  // empty
+  ring.Close();
+  int v = 0;
+  EXPECT_EQ(ring.Pop(std::span<int>(&v, 1)), 0u);  // closed and empty
 }
 
 TEST(SpscRingTest, CapacityRoundedToPowerOfTwoMinusOne) {
   SpscRing<int> ring(5);
-  EXPECT_GE(ring.capacity(), 5u);
-  size_t pushed = 0;
-  while (ring.TryPush(1)) {
-    ++pushed;
-  }
-  EXPECT_EQ(pushed, ring.capacity());
+  EXPECT_EQ(ring.capacity(), 7u);
+  const std::vector<int> fill(ring.capacity(), 1);
+  EXPECT_EQ(ring.Push(fill), ring.capacity());
+  // The ring is full: one more element waits until a slot frees.
+  std::atomic<bool> pushed{false};
+  std::thread producer([&] {
+    EXPECT_EQ(ring.Push(std::vector<int>{2}), 1u);
+    pushed.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(pushed.load()) << "Push returned on a full ring";
+  int v = 0;
+  EXPECT_EQ(ring.Pop(std::span<int>(&v, 1)), 1u);
+  producer.join();
+  EXPECT_TRUE(pushed.load());
 }
 
-TEST(SpscRingTest, ConcurrentStressPreservesEverything) {
-  SpscRing<uint64_t> ring(1024);
-  constexpr uint64_t kN = 2'000'000;
-  std::atomic<bool> done{false};
-  uint64_t sum = 0;
+// Producer and consumer move random-sized spans. `slow_side` (0 the
+// producer, 1 the consumer, -1 neither) sleeps now and then, so the other
+// side both spins and sleeps in its wait. Nothing may be lost, duplicated
+// or reordered.
+void StressRing(size_t capacity, uint64_t count, int slow_side) {
+  SpscRing<uint64_t> ring(capacity);
   uint64_t received = 0;
-  uint64_t expected_next = 1;
   bool order_ok = true;
-
   std::thread consumer([&] {
-    uint64_t v;
-    while (true) {
-      if (ring.TryPop(&v)) {
-        if (v != expected_next) {
-          order_ok = false;
-        }
-        ++expected_next;
-        sum += v;
-        ++received;
-      } else if (done.load(std::memory_order_acquire) && ring.Empty()) {
+    Rng rng(7);
+    std::vector<uint64_t> out(97);
+    uint64_t expected_next = 1;
+    for (;;) {
+      const size_t want = 1 + rng.NextBounded(out.size());
+      const size_t got = ring.Pop(std::span<uint64_t>(out).first(want));
+      if (got == 0) {
         break;
+      }
+      for (size_t i = 0; i < got; ++i) {
+        order_ok &= out[i] == expected_next++;
+      }
+      received += got;
+      if (slow_side == 1 && rng.NextBounded(64) == 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(300));
       }
     }
   });
-
-  for (uint64_t i = 1; i <= kN; ++i) {
-    while (!ring.TryPush(i)) {
+  Rng rng(11);
+  std::vector<uint64_t> in(131);
+  for (uint64_t next = 1; next <= count;) {
+    const size_t n = std::min<uint64_t>(1 + rng.NextBounded(in.size()), count - next + 1);
+    for (size_t i = 0; i < n; ++i) {
+      in[i] = next++;
+    }
+    EXPECT_EQ(ring.Push(std::span<const uint64_t>(in).first(n)), n);
+    if (slow_side == 0 && rng.NextBounded(64) == 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(300));
     }
   }
-  done.store(true, std::memory_order_release);
+  ring.Close();
   consumer.join();
-
-  EXPECT_EQ(received, kN);
+  EXPECT_EQ(received, count);
   EXPECT_TRUE(order_ok);
-  EXPECT_EQ(sum, kN * (kN + 1) / 2);
+}
+
+TEST(SpscRingTest, ConcurrentStressPreservesEverything) {
+  StressRing(1024, 2'000'000, /*slow_side=*/-1);
+}
+
+TEST(SpscRingTest, SlowProducerThenSlowConsumerLoseAndReorderNothing) {
+  StressRing(64, 200'000, /*slow_side=*/0);
+  StressRing(64, 200'000, /*slow_side=*/1);
+}
+
+TEST(SpscRingTest, CloseWakesAPopBlockedOnAnEmptyRing) {
+  SpscRing<int> ring(4);
+  std::atomic<bool> returned{false};
+  size_t got = 1;
+  std::thread consumer([&] {
+    int v = 0;
+    got = ring.Pop(std::span<int>(&v, 1));
+    returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // past the spin: asleep
+  EXPECT_FALSE(returned.load()) << "Pop returned on an empty open ring";
+  ring.Close();
+  consumer.join();
+  EXPECT_EQ(got, 0u);
+}
+
+TEST(SpscRingTest, CloseWakesAPushBlockedOnAFullRing) {
+  SpscRing<int> ring(4);
+  const std::vector<int> values(ring.capacity() + 5, 3);
+  std::atomic<bool> returned{false};
+  size_t pushed = 0;
+  std::thread producer([&] {
+    pushed = ring.Push(values);
+    returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(returned.load()) << "Push returned with elements left and no room";
+  ring.Close();
+  producer.join();
+  EXPECT_EQ(pushed, ring.capacity());  // short: only what fit before the close
+  // What was pushed before the close is still delivered, then 0.
+  std::vector<int> out(values.size());
+  EXPECT_EQ(ring.Pop(out), ring.capacity());
+  EXPECT_EQ(ring.Pop(out), 0u);
+  EXPECT_EQ(ring.Push(values), 0u);  // nothing is pushed once closed
+}
+
+TEST(SpscRingTest, PopReturnsZeroOnlyAfterEverythingIsPopped) {
+  SpscRing<int> ring(16);
+  std::vector<int> in(10);
+  std::iota(in.begin(), in.end(), 0);
+  ASSERT_EQ(ring.Push(in), in.size());
+  ring.Close();
+  std::vector<int> out;
+  int buf[3];
+  size_t got = 0;
+  while ((got = ring.Pop(buf)) > 0) {
+    out.insert(out.end(), buf, buf + got);
+  }
+  EXPECT_EQ(out, in);
+  EXPECT_EQ(ring.Pop(buf), 0u);
 }
 
 TEST(DatapathTest, HeaderPackParseRoundTrip) {

@@ -318,10 +318,10 @@ size_t ThreadCount() {
 }
 
 // An idle live source costs no CPU. The writer sends a capture prefix
-// (more than ATTACH's first 256 KB stream read, so ATTACH answers) and
-// then holds the FIFO open without writing: the parse thread sleeps in
-// read() with a burst half filled, and the ingest thread sleeps waiting
-// for it. Neither may spin through the second the writer holds.
+// (more than one 256 KB stream read) and then holds the FIFO open without
+// writing: the parse thread sleeps in read() with a burst half filled,
+// and the ingest thread sleeps waiting for it. Neither may spin through
+// the second the writer holds.
 TEST(ServeProtocol, IngestFromAnIdleFifoCostsNoCpu) {
   const std::string tag = std::to_string(::getpid());
   const std::string capture = TempPath("serve_idle_" + tag + ".pcap");
@@ -372,6 +372,72 @@ TEST(ServeProtocol, IngestFromAnIdleFifoCostsNoCpu) {
   core.DrainIngest();
   EXPECT_NE(core.Execute("STATS idle").find("STAT ingest_done 1\n"), std::string::npos);
   EXPECT_EQ(core.PacketsApplied("idle"), trace.packets.size());
+  std::remove(fifo.c_str());
+  std::remove(capture.c_str());
+}
+
+// A threaded Sharded instance whose capture is drained costs no CPU: its
+// workers sleep in their rings' Pop until the next packet.
+TEST(ServeProtocol, DrainedThreadedShardedInstanceCostsNoCpu) {
+  const Fixture& fx = CampusCapture();
+  ServeCore core(SmallOptions());
+  ASSERT_EQ(core.Execute("CREATE edge Sharded:n=2,threads=1,inner=HK-Minimum"),
+            "OK created edge\n");
+  ASSERT_EQ(core.Execute("ATTACH edge " + fx.path), "OK attached edge\n");
+  core.DrainIngest();
+  EXPECT_EQ(core.PacketsApplied("edge"), fx.trace.packets.size());
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));  // past the workers' spin
+  const double cpu_before = CpuSeconds();
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  const double idle_cpu = CpuSeconds() - cpu_before;
+  EXPECT_LT(idle_cpu, 0.010) << "CPU seconds used by the drained instance";
+  const auto topk = Lines(core.Execute("TOPK edge 5 exact"));
+  EXPECT_EQ(topk.back().rfind("END consistency=exact", 0), 0u);
+}
+
+// ATTACH answers once the capture header has arrived, even while the
+// writer holds the FIFO open with nothing more to send: a read returns
+// what the pipe has, it does not wait for a whole stream chunk. Should
+// ATTACH wait for more, the writer gives up after 5 s and closes, so the
+// test fails on the elapsed time instead of hanging.
+TEST(ServeProtocol, AttachReadsAFifoHeaderWithoutWaitingForMore) {
+  const std::string tag = std::to_string(::getpid());
+  const std::string capture = TempPath("serve_header_" + tag + ".pcap");
+  const Trace trace = SynthesizeCapture(CampusConfig(40, 37), capture, CaptureSynthOptions{});
+  std::ifstream in(capture, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  ASSERT_LT(bytes.size(), size_t{16} * 1024);  // far below one 256 KB stream read
+  const std::string fifo = TempPath("serve_header_fifo_" + tag);
+  std::remove(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
+
+  ServeCore core(SmallOptions());
+  ASSERT_EQ(core.Execute("CREATE live HK"), "OK created live\n");
+  std::promise<void> attached;
+  std::thread writer([&, answered = attached.get_future()] {
+    int fd = -1;
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while ((fd = ::open(fifo.c_str(), O_WRONLY | O_NONBLOCK)) < 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (fd < 0) {
+      return;
+    }
+    ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) & ~O_NONBLOCK);
+    EXPECT_EQ(::write(fd, bytes.data(), bytes.size()), static_cast<ssize_t>(bytes.size()));
+    answered.wait_for(std::chrono::seconds(5));  // hold the pipe open
+    ::close(fd);
+  });
+  const auto start = std::chrono::steady_clock::now();
+  const std::string reply = core.Execute("ATTACH live stream:" + fifo);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  attached.set_value();
+  writer.join();
+  EXPECT_EQ(reply, "OK attached live\n");
+  EXPECT_LT(elapsed, std::chrono::seconds(2)) << "ATTACH waited for the writer to close";
+  core.DrainIngest();
+  EXPECT_EQ(core.PacketsApplied("live"), trace.packets.size());
   std::remove(fifo.c_str());
   std::remove(capture.c_str());
 }

@@ -6,7 +6,8 @@
 # identically - the file-backed source replays with the applied prefix
 # skipped, so a kill loses nothing. On the way it checks the daemon's
 # limits: an overlong request line, the 256-connection cap, and that
-# thousands of short connections do not grow its address space.
+# thousands of short connections do not grow its address space; and that
+# a drained threaded Sharded instance leaves the daemon idle.
 #
 # usage: tests/serve_smoke.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -161,6 +162,19 @@ for _ in $(seq 1 100); do
   sleep 0.1
 done
 "$HK_CLI" metrics --port "$PORT" > "$WORK/metrics2.txt"
+
+# The drained shard instance's two workers sleep in their rings: over one
+# idle second the daemon's user + system time (fields 14 and 15 of
+# /proc/<pid>/stat, in clock ticks) stays under 20 ms.
+cpu_ticks() { awk '{ print $14 + $15 }' "/proc/$SERVE_PID/stat"; }
+sleep 0.2
+TICKS_BEFORE="$(cpu_ticks)"
+sleep 1
+IDLE_CPU_MS=$(( ($(cpu_ticks) - TICKS_BEFORE) * 1000 / $(getconf CLK_TCK) ))
+echo "idle daemon CPU: $IDLE_CPU_MS ms in 1 s"
+[ "$IDLE_CPU_MS" -lt 20 ] || {
+  echo "idle daemon used $IDLE_CPU_MS ms of CPU in one second with a drained Sharded instance"
+  exit 1; }
 awk 'NR==FNR { if ($1 ~ /_total(\{|$)/ && $1 !~ /^#/) before[$1] = $2; next }
      ($1 in before) && $2 + 0 < before[$1] + 0 {
        print "counter went backwards: " $1 " " before[$1] " -> " $2; bad = 1 }

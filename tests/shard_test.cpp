@@ -8,6 +8,9 @@
 // race detection).
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/time.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -358,6 +361,34 @@ TEST(ShardedTopKTest, SaveStateRollsBackWhenAnInnerCannotCheckpoint) {
   std::vector<uint8_t> out = prefix;
   EXPECT_FALSE(sharded.SaveState(&out));
   EXPECT_EQ(out, prefix);
+}
+
+double CpuSeconds() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  const auto seconds = [](const timeval& tv) { return tv.tv_sec + tv.tv_usec / 1e6; };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+// An idle threaded instance costs no CPU: once Flush() has drained the
+// rings, each worker sleeps in its ring's Pop until the next packet or the
+// destructor's Close.
+TEST(ShardedTopKTest, IdleThreadedInstanceCostsNoCpu) {
+  for (const size_t n : {2, 8}) {
+    const std::string spec = "Sharded:n=" + std::to_string(n) + ",threads=1,inner=HK-Minimum";
+    auto algo = MakeSketch(spec, TestDefaults());
+    algo->InsertBatch(ZipfPackets(100'000, 19));
+    algo->Flush();
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));  // past the workers' spin
+    const double cpu_before = CpuSeconds();
+    std::this_thread::sleep_for(std::chrono::seconds(1));
+    const double idle_cpu = CpuSeconds() - cpu_before;
+    EXPECT_LT(idle_cpu, 0.010) << spec << ": CPU seconds used over one idle second";
+    // A sleeping worker wakes for the next packets.
+    algo->InsertBatch(std::vector<FlowId>(1'000, 7));
+    algo->Flush();
+    EXPECT_GE(algo->EstimateSize(7), 900u) << spec;
+  }
 }
 
 TEST(ShardedStressTest, FlushFromProducerMakesAllInsertsVisible) {

@@ -27,14 +27,16 @@ namespace {
 std::unique_ptr<TopKAlgorithm> Make(const std::string& name) {
   constexpr size_t kBudget = 16 * 1024;
   constexpr size_t kK = 20;
+  HeavyKeeperTopK<>::Builder hk;
+  hk.memory_bytes(kBudget).k(kK).key_kind(KeyKind::kSynthetic4B).seed(1);
   if (name == "HK-Basic") {
-    return HeavyKeeperTopK<>::FromMemory(HkVersion::kBasic, kBudget, kK, 4, 1);
+    return hk.version(HkVersion::kBasic).Build();
   }
   if (name == "HK-Parallel") {
-    return HeavyKeeperTopK<>::FromMemory(HkVersion::kParallel, kBudget, kK, 4, 1);
+    return hk.version(HkVersion::kParallel).Build();
   }
   if (name == "HK-Minimum") {
-    return HeavyKeeperTopK<>::FromMemory(HkVersion::kMinimum, kBudget, kK, 4, 1);
+    return hk.version(HkVersion::kMinimum).Build();
   }
   if (name == "SS") {
     return SpaceSaving::FromMemory(kBudget, 4);
