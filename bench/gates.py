@@ -51,6 +51,10 @@ GATES = [
          ["L3/insert_batch/avx2"], "L3/insert_batch/scalar", 1.3, HARD, avx2=True),
     Gate("telemetry InsertBatch: on / off, 64 MB",
          ["L3/telemetry/on"], "L3/telemetry/off", 0.97, HARD),
+    # The PCLMULQDQ fold runs where simd=auto resolves to avx2 (4.6x cold,
+    # 8.9x warm on a 4-vCPU Xeon); a scalar run CRCs with the tables.
+    Gate("checkpoint Crc32: dispatched / table loop, 32 MB",
+         ["L9/crc"], "L9/crc/table", 3.0, HARD, avx2=True),
     *(prerefactor_gate(v) for v in ("HK-Basic", "HK-Minimum", "HK-Parallel")),
     # Soft until CI has a runner with >= 4 free cores.
     Gate("sharded: n=8 / n=1", ["L4/sharded/n:8"], "L4/sharded/n:1", 3.5, SOFT),

@@ -16,11 +16,12 @@
 //   L6 replay          the capture's ids applied alone (parsed beforehand),
 //                      and TraceReplayer over the capture, which parses on
 //                      a second thread while it applies
-//   L9 checkpoint      SaveState, Crc32 and WriteCheckpointAtomic of a 32 MB
-//                      HK-Minimum:d=4 (the size of e2ebench caida-sharded's
-//                      instance), against a plain copy of the same bytes;
-//                      SaveState and the copy reuse one buffer, as
-//                      hk_serve's checkpoints do
+//   L9 checkpoint      SaveState, Crc32 (the dispatched kernel, and the
+//                      table loop alone), WriteCheckpointAtomic and
+//                      LoadCheckpoint of a 32 MB HK-Minimum:d=4 (the size of
+//                      e2ebench caida-sharded's instance), against a plain
+//                      copy of the same bytes; SaveState and the copy reuse
+//                      one buffer, as hk_serve's checkpoints do
 //
 // (hk_serve ingest and query latency under ingest are measured end to end
 // by e2ebench/.) The chain L0 -> L3 runs HK-Minimum:d=4 on a 4 MB,
@@ -57,6 +58,7 @@
 #include "ingest/pcap_reader.h"
 #include "ingest/trace_replayer.h"
 #include "serve/checkpoint.h"
+#include "simd/crc32_fold.h"
 #include "simd/hash_batch.h"
 #include "sketch/registry.h"
 #include "telemetry/telemetry.h"
@@ -484,29 +486,60 @@ void BM_Copy(benchmark::State& state) {
   SetBlobItems(state);
 }
 
-void BM_Crc(benchmark::State& state) {
+using simd::Crc32Kernel;
+
+// Crc32 as a checkpoint runs it (the kernel the host dispatches to), and
+// the table loop alone: bench/gates.py holds their ratio.
+void BM_Crc(benchmark::State& state, Crc32Kernel kernel) {
   const std::vector<uint8_t>& blob = CheckpointBlob();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Crc32(blob));
+    benchmark::DoNotOptimize(kernel(blob.data(), blob.size(), 0));
   }
   SetBlobItems(state);
 }
 
+const CheckpointManifest& LadderManifest() {
+  static const CheckpointManifest manifest = [] {
+    CheckpointInstance instance;
+    instance.name = "ladder";
+    instance.spec = "HK-Minimum:d=4";
+    instance.memory_bytes = kCheckpointBytes;
+    instance.state = CheckpointBlob();
+    CheckpointManifest out;
+    out.instances.push_back(std::move(instance));
+    return out;
+  }();
+  return manifest;
+}
+
+std::string CheckpointPath() { return (ScratchDir() / "ladder.hkc").string(); }
+
 void BM_Write(benchmark::State& state) {
-  CheckpointInstance instance;
-  instance.name = "ladder";
-  instance.spec = "HK-Minimum:d=4";
-  instance.memory_bytes = kCheckpointBytes;
-  instance.state = CheckpointBlob();
-  CheckpointManifest manifest;
-  manifest.instances.push_back(std::move(instance));
-  const std::string path = (ScratchDir() / "ladder.hkc").string();
   std::string error;
   for (auto _ : state) {
-    if (!WriteCheckpointAtomic(path, manifest, &error)) {
+    if (!WriteCheckpointAtomic(CheckpointPath(), LadderManifest(), &error)) {
       state.SkipWithError(error.c_str());
       break;
     }
+  }
+  SetBlobItems(state);
+}
+
+// Recovery's read: LoadCheckpoint of the file L9/write writes (written
+// here first, since the rows run in random order).
+void BM_Load(benchmark::State& state) {
+  std::string error;
+  if (!WriteCheckpointAtomic(CheckpointPath(), LadderManifest(), &error)) {
+    state.SkipWithError(error.c_str());
+    return;
+  }
+  for (auto _ : state) {
+    CheckpointManifest loaded;
+    if (!LoadCheckpoint(CheckpointPath(), &loaded, &error)) {
+      state.SkipWithError(error.c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(loaded.instances.data());
   }
   SetBlobItems(state);
 }
@@ -589,8 +622,12 @@ void RegisterRows() {
 
   RegisterBenchmark("L9/copy", BM_Copy)->Unit(benchmark::kMillisecond)->UseRealTime();
   RegisterBenchmark("L9/save", BM_Save)->Unit(benchmark::kMillisecond)->UseRealTime();
-  RegisterBenchmark("L9/crc", BM_Crc)->Unit(benchmark::kMillisecond)->UseRealTime();
+  const Crc32Kernel dispatched = &Crc32;
+  const Crc32Kernel table = &Crc32Table;
+  RegisterBenchmark("L9/crc", BM_Crc, dispatched)->Unit(benchmark::kMillisecond)->UseRealTime();
+  RegisterBenchmark("L9/crc/table", BM_Crc, table)->Unit(benchmark::kMillisecond)->UseRealTime();
   RegisterBenchmark("L9/write", BM_Write)->Unit(benchmark::kMillisecond)->UseRealTime();
+  RegisterBenchmark("L9/load", BM_Load)->Unit(benchmark::kMillisecond)->UseRealTime();
 }
 
 }  // namespace

@@ -75,6 +75,14 @@ class GateTableTest(unittest.TestCase):
             self.assertEqual(status_of(gate, {}, {}, kernel="scalar"), "SKIP")
             self.assertEqual(status_of(gate, {}, {}, kernel="avx2"), "FAIL")
 
+    def test_crc_gate_is_hard_and_skips_on_a_scalar_context(self):
+        gate = next(g for g in gates.GATES if g.num == ["L9/crc"])
+        self.assertEqual(gate.den, "L9/crc/table")
+        self.assertTrue(gate.hard)
+        self.assertEqual(status_of(gate, *setting(gate, 3.0)), "PASS")
+        self.assertEqual(status_of(gate, *setting(gate, 3.0 * 0.999)), "FAIL")
+        self.assertEqual(status_of(gate, *setting(gate, 3.0), kernel="scalar"), "SKIP")
+
     def test_soft_gates_only_warn(self):
         soft = [g for g in gates.GATES if not g.hard]
         self.assertTrue(soft)

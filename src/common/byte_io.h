@@ -121,11 +121,14 @@ class ByteReader {
 
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320). Guards the
 // checkpoint file against torn or bit-rotted writes. A checkpoint CRCs
-// every byte of every instance's state, so this is slicing-by-8: eight
-// 256-entry tables fold eight input bytes per step (about 20x the bitwise
-// loop on a 32 MiB payload). The values are those of the bitwise
-// definition, and Crc32(b, Crc32(a)) == Crc32(a || b), so a payload can be
-// checksummed piece by piece.
+// every byte of every instance's state, so there are two fast paths with
+// the values of the bitwise definition: Crc32Table below, slicing-by-8
+// (eight 256-entry tables fold eight input bytes per step, about 2 GB/s),
+// and simd::Crc32Fold (simd/crc32_fold.h), a PCLMULQDQ fold at memory
+// speed. Crc32 picks one once per process: the fold where the host has
+// PCLMULQDQ and simd=auto resolves to avx2, the tables otherwise. In both,
+// Crc32(b, Crc32(a)) == Crc32(a || b), so a payload can be checksummed
+// piece by piece.
 namespace crc32_internal {
 
 constexpr std::array<std::array<uint32_t, 256>, 8> MakeTables() {
@@ -157,7 +160,7 @@ inline uint32_t Load32(const uint8_t* p) {
 
 }  // namespace crc32_internal
 
-inline uint32_t Crc32(const uint8_t* data, size_t size, uint32_t seed = 0) {
+inline uint32_t Crc32Table(const uint8_t* data, size_t size, uint32_t seed = 0) {
   const auto& t = crc32_internal::kTables;
   uint32_t crc = ~seed;
   for (; size >= 8; data += 8, size -= 8) {
@@ -171,6 +174,9 @@ inline uint32_t Crc32(const uint8_t* data, size_t size, uint32_t seed = 0) {
   }
   return ~crc;
 }
+
+// Defined in simd/crc32_fold.cpp, next to the kernel it dispatches to.
+uint32_t Crc32(const uint8_t* data, size_t size, uint32_t seed = 0);
 
 inline uint32_t Crc32(const std::vector<uint8_t>& data, uint32_t seed = 0) {
   return Crc32(data.data(), data.size(), seed);

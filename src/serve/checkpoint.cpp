@@ -35,6 +35,11 @@ bool Fail(std::string* error, const std::string& what) {
 // chunk the CRC just read is still in cache when the write copies it.
 constexpr size_t kEmitChunk = 1 << 20;
 
+// The atomic writer starts writeback of every this many bytes it has
+// written, so the disk works while the rest is still being copied and the
+// closing fsync waits only for the tail.
+constexpr uint64_t kWritebackBytes = 4 << 20;
+
 // The one checkpoint encoder behind EncodeCheckpoint and
 // WriteCheckpointAtomic. The payload is the instance count, then each
 // instance's fields and its length-prefixed state blob. The encoder owns
@@ -239,7 +244,24 @@ bool WriteCheckpointAtomic(const std::string& path, const CheckpointManifest& ma
   // Header placeholder, then the payload pieces with the CRC chained
   // across them, then the real header over the placeholder: the state is
   // read once and never staged in a second full-size buffer.
-  const auto write = [fd](const uint8_t* data, size_t n) { return WriteFd(fd, data, n); };
+  uint64_t written = 0;
+  uint64_t started = 0;  // bytes whose writeback has been started
+  const auto write = [&](const uint8_t* data, size_t n) {
+    if (!WriteFd(fd, data, n)) {
+      return false;
+    }
+    written += n;
+#ifdef __linux__
+    // Only starts I/O: durability still comes from the fsync below. A
+    // failure here shows up there.
+    if (written - started >= kWritebackBytes) {
+      ::sync_file_range(fd, static_cast<off_t>(started), static_cast<off_t>(written - started),
+                        SYNC_FILE_RANGE_WRITE);
+      started = written;
+    }
+#endif
+    return true;
+  };
   const std::vector<uint8_t> placeholder = EncodeHeader(payload.size(), 0);
   uint32_t crc = 0;
   bool ok = write(placeholder.data(), placeholder.size()) && payload.Emit(write, &crc);
@@ -282,10 +304,19 @@ bool LoadCheckpoint(const std::string& path, CheckpointManifest* out, std::strin
   if (fd < 0) {
     return Fail(error, "open " + path + ": " + std::strerror(errno));
   }
-  std::vector<uint8_t> bytes;
-  uint8_t chunk[64 * 1024];
+  // One buffer sized from fstat (one byte over, so the read that meets EOF
+  // needs no room), read into in place. The read goes on to EOF, growing
+  // the buffer if it must, so a file whose size changed since the fstat is
+  // still read whole.
+  struct stat st = {};
+  const bool sized = ::fstat(fd, &st) == 0 && st.st_size > 0;
+  std::vector<uint8_t> bytes(sized ? static_cast<size_t>(st.st_size) + 1 : size_t{64 * 1024});
+  size_t size = 0;
   for (;;) {
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    if (size == bytes.size()) {
+      bytes.resize(bytes.size() * 2);
+    }
+    const ssize_t n = ::read(fd, bytes.data() + size, bytes.size() - size);
     if (n < 0) {
       if (errno == EINTR) {
         continue;
@@ -297,10 +328,10 @@ bool LoadCheckpoint(const std::string& path, CheckpointManifest* out, std::strin
     if (n == 0) {
       break;
     }
-    bytes.insert(bytes.end(), chunk, chunk + n);
+    size += static_cast<size_t>(n);
   }
   ::close(fd);
-  return DecodeCheckpoint(bytes.data(), bytes.size(), out, error);
+  return DecodeCheckpoint(bytes.data(), size, out, error);
 }
 
 bool RemoveStaleCheckpointTemp(const std::string& path) {

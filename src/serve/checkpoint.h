@@ -9,7 +9,10 @@
 //     fsync'd, then rename(2)'d over `path` (and the directory fsync'd),
 //     so a crash at any instant leaves either the previous checkpoint or
 //     the new one - never a torn file - plus at worst a stale `.tmp` that
-//     the next writer simply overwrites.
+//     the next writer simply overwrites. On Linux the writer starts
+//     writeback of each 4 MiB as it goes (sync_file_range), so the fsync
+//     waits only for the tail; that changes when bytes reach the disk,
+//     not what makes them durable.
 //   * Loads are paranoid: magic, version, payload length, and a CRC32
 //     over the payload are all verified before a byte is interpreted,
 //     and every per-instance field is bounds-checked while decoding. A

@@ -78,11 +78,26 @@ void ShardedTopK::InitShards(std::vector<std::unique_ptr<TopKAlgorithm>> inners)
   for (auto& inner : inners) {
     auto shard = std::make_unique<Shard>();
     shard->algo = std::move(inner);
+    shard->memory_bytes.store(shard->algo->MemoryBytes(), std::memory_order_relaxed);
     if (options_.threaded) {
       shard->ring = std::make_unique<SpscRing<Packet>>(options_.ring_capacity);
     }
     shards_.push_back(std::move(shard));
   }
+  name_ = "Sharded:n=" + std::to_string(shards_.size());
+  if (options_.threaded) {
+    name_ += ",threads=1";
+    if (options_.ring_capacity != kDefaultOptions.ring_capacity) {
+      name_ += ",ring=" + std::to_string(options_.ring_capacity);
+    }
+    if (options_.drain_burst != kDefaultOptions.drain_burst) {
+      name_ += ",burst=" + std::to_string(options_.drain_burst);
+    }
+  }
+  // The greedy key comes last (registry grammar): the inner name is itself
+  // a full spec and may contain ':' and ','.
+  name_ += ",inner=" + shards_[0]->algo->name();
+  simd_kernel_ = shards_[0]->algo->ActiveSimdKernel();
   if (options_.threaded) {
     workers_.reserve(shards_.size());
     for (size_t i = 0; i < shards_.size(); ++i) {
@@ -152,6 +167,8 @@ void ShardedTopK::WorkerLoop(size_t shard_index) {
         shard.algo->InsertBatch(std::span<const FlowId>(ids.data(), n),
                                 std::span<const uint64_t>(weights.data(), n));
       }
+      // A burst can grow the inner (HeavyKeeper's Section III-F expansion).
+      shard.memory_bytes.store(shard.algo->MemoryBytes(), std::memory_order_relaxed);
     }
     shard.queued.fetch_sub(n, std::memory_order_release);
   }
@@ -164,8 +181,8 @@ void ShardedTopK::WaitIdle() const {
   // Sleeps in short steps rather than in a wait a worker would end. On a
   // 4-vCPU VM, a querying thread woken by a worker's notify, or one that
   // spun beside the workers, slowed hk_serve ingest into e2ebench
-  // caida-sharded's Sharded:n=2 from 18-19 to 11-13 Mpps: STATS drains the
-  // rings under the instance lock, and the benchmark polls it every 1 ms.
+  // caida-sharded's Sharded:n=2 from 18-19 to 11-13 Mpps, when STATS still
+  // drained the rings under the instance lock.
   for (const auto& shard : shards_) {
     while (shard->queued.load(std::memory_order_acquire) != 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(50));
@@ -283,11 +300,6 @@ QueryResult ShardedTopK::Snapshot(const QueryOptions& options) {
   return result;
 }
 
-const char* ShardedTopK::ActiveSimdKernel() const {
-  const auto lock = LockShard(*shards_[0]);
-  return shards_[0]->algo->ActiveSimdKernel();
-}
-
 std::vector<FlowCount> ShardedTopK::TopK(size_t k) const {
   WaitIdle();
   std::vector<std::vector<FlowCount>> per_shard;
@@ -306,34 +318,13 @@ uint64_t ShardedTopK::EstimateSize(FlowId id) const {
   return shard.algo->EstimateSize(id);
 }
 
-std::string ShardedTopK::name() const {
-  WaitIdle();  // the query contract: behave as if Flush() ran first
-  std::string spec = "Sharded:n=" + std::to_string(shards_.size());
-  if (options_.threaded) {
-    spec += ",threads=1";
-    if (options_.ring_capacity != kDefaultOptions.ring_capacity) {
-      spec += ",ring=" + std::to_string(options_.ring_capacity);
-    }
-    if (options_.drain_burst != kDefaultOptions.drain_burst) {
-      spec += ",burst=" + std::to_string(options_.drain_burst);
-    }
-  }
-  // The greedy key comes last (registry grammar): the inner name is itself
-  // a full spec and may contain ':' and ','.
-  const auto lock = LockShard(*shards_[0]);
-  spec += ",inner=" + shards_[0]->algo->name();
-  return spec;
-}
-
 size_t ShardedTopK::MemoryBytes() const {
-  // Not just the contract: a draining worker can grow its inner sketch
-  // (HeavyKeeper Section III-F expansion), so reading sizes unsynchronized
-  // would race.
-  WaitIdle();
+  // Threaded: the published sizes, so no caller waits for a drain or a
+  // shard lock; bursts still queued may grow a shard after the read.
   size_t total = 0;
   for (const auto& shard : shards_) {
-    const auto lock = LockShard(*shard);
-    total += shard->algo->MemoryBytes();
+    total += options_.threaded ? shard->memory_bytes.load(std::memory_order_relaxed)
+                               : shard->algo->MemoryBytes();
   }
   return total;
 }
@@ -375,8 +366,11 @@ bool ShardedTopK::LoadState(const uint8_t* data, size_t size) {
     return false;
   }
   for (size_t i = 0; i < shards_.size(); ++i) {
-    const auto lock = LockShard(*shards_[i]);
-    if (!shards_[i]->algo->LoadState(blobs[i].data(), blobs[i].size())) {
+    Shard& shard = *shards_[i];
+    const auto lock = LockShard(shard);
+    const bool loaded = shard.algo->LoadState(blobs[i].data(), blobs[i].size());
+    shard.memory_bytes.store(shard.algo->MemoryBytes(), std::memory_order_relaxed);
+    if (!loaded) {
       return false;
     }
   }

@@ -31,6 +31,10 @@
 // unions the per-shard reports (shard/merge.h - a flow's estimate is its
 // owning shard's estimate, unchanged). EstimateSize() asks the owning
 // shard. Flush() blocks until every accepted packet has been applied.
+// name(), ActiveSimdKernel() and MemoryBytes() wait for nothing: the first
+// two are fixed at construction, and in threaded mode MemoryBytes() sums
+// what each worker published after its last burst (and LoadState after a
+// restore), so a STATS poll never stalls the producer behind a drain.
 // The destructor closes every ring; each worker applies what is still
 // queued before it exits and is joined, so a shutdown mid-burst loses
 // nothing. In threaded mode Snapshot(kRelaxed)
@@ -126,12 +130,12 @@ class ShardedTopK : public TopKAlgorithm {
 
   std::vector<FlowCount> TopK(size_t k) const override;
   uint64_t EstimateSize(FlowId id) const override;
-  std::string name() const override;
+  std::string name() const override { return name_; }
   size_t MemoryBytes() const override;
   size_t WorkerThreads() const override { return options_.threaded ? shards_.size() : 0; }
 
   // Every shard is built from the same spec, so shard 0 speaks for all.
-  const char* ActiveSimdKernel() const override;
+  const char* ActiveSimdKernel() const override { return simd_kernel_; }
 
   // Quiesces the rings, then delegates to each shard in index order. Both
   // fail (returning false, state untouched) unless every inner supports
@@ -169,9 +173,12 @@ class ShardedTopK : public TopKAlgorithm {
     std::vector<uint64_t> run_weights;
     // Packets enqueued but not yet applied by the worker. The worker's
     // release-decrement after mutating `algo` pairs with acquire loads in
-    // WaitIdle() to publish sketch state to the querying thread. Last
-    // member + alignas: the counter owns its line alone.
+    // WaitIdle() to publish sketch state to the querying thread. alignas:
+    // the counter owns its line alone.
     alignas(64) std::atomic<uint64_t> queued{0};
+    // Threaded mode: algo->MemoryBytes() as of the worker's last burst (or
+    // the last LoadState), on a line only the worker writes.
+    alignas(64) std::atomic<size_t> memory_bytes{0};
   };
 
   void Enqueue(FlowId id, uint64_t weight);
@@ -194,6 +201,9 @@ class ShardedTopK : public TopKAlgorithm {
   telemetry::Gauge* tm_ring_highwater_ = nullptr;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::thread> workers_;
+  // Built once the shards exist; neither changes afterwards.
+  std::string name_;
+  const char* simd_kernel_ = nullptr;
 };
 
 }  // namespace hk

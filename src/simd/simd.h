@@ -16,6 +16,9 @@
 // bucket transitions, decay coins drawn scalar in packet order), so the
 // mode is a pure speed knob: it is excluded from checkpoint compatibility
 // checks and a blob written under one kernel loads under any other.
+// The checkpoint CRC follows the auto resolution too: Crc32 runs the
+// PCLMULQDQ fold (simd/crc32_fold.h) when auto resolves to avx2, so
+// HK_SIMD=scalar also pins it to its table loop.
 //
 // This header is dependency-free so core/ can hold a SimdMode in its config
 // without a cycle; the kernels themselves live in simd/hk_kernels.h.

@@ -3,8 +3,9 @@
 // identically to the one that crashed; (2) the manifest file format
 // rejects every species of corruption a crash can mint (torn tail,
 // truncation, bit flips, foreign bytes) instead of loading garbage; (3)
-// the bytes on disk are pinned: Crc32 equals its bitwise definition, and a
-// committed checkpoint file is reproduced byte for byte by both writers.
+// the bytes on disk are pinned: Crc32 and both of its kernels equal the
+// bitwise definition, and a committed checkpoint file is reproduced byte
+// for byte by both writers.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -14,6 +15,7 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "common/random.h"
 #include "ingest/pcap_reader.h"
 #include "serve/checkpoint.h"
+#include "simd/crc32_fold.h"
 #include "sketch/registry.h"
 #include "trace/generators.h"
 
@@ -108,6 +111,96 @@ TEST(Crc32, ChainsAcrossSplits) {
     const uint32_t head = Crc32(bytes.data(), split);
     ASSERT_EQ(Crc32(bytes.data() + split, bytes.size() - split, head), whole) << "split " << split;
   }
+}
+
+// Both kernels Crc32 can pick, called directly: the slicing-by-8 tables
+// and, on a host with PCLMULQDQ, the carry-less-multiply fold.
+using simd::Crc32Kernel;
+
+void ExpectBitwiseAtEveryLengthOffsetAndSeed(Crc32Kernel kernel) {
+  // Lengths 0..1100 from offsets 0..63 cover the fold's 64- and 16-byte
+  // blocks at every alignment, the table's short inputs and every tail.
+  const std::vector<uint8_t> bytes = RandomBytes(1100 + 64, 13);
+  Rng seeds(14);
+  for (size_t offset = 0; offset < 64; ++offset) {
+    for (size_t len = 0; len <= 1100; ++len) {
+      const uint8_t* data = bytes.data() + offset;
+      const auto seed = static_cast<uint32_t>(seeds.NextU64());
+      ASSERT_EQ(kernel(data, len, seed), BitwiseCrc32(data, len, seed))
+          << "offset " << offset << " length " << len << " seed " << seed;
+    }
+  }
+}
+
+void ExpectChainsAroundBlockBoundaries(Crc32Kernel head_kernel, Crc32Kernel tail_kernel) {
+  // Splits one byte before, at and after every 16- and 64-byte boundary.
+  const std::vector<uint8_t> bytes = RandomBytes(1100, 15);
+  const uint32_t whole = BitwiseCrc32(bytes.data(), bytes.size());
+  for (size_t boundary = 16; boundary < bytes.size(); boundary += 16) {
+    for (const size_t split : {boundary - 1, boundary, boundary + 1}) {
+      const uint32_t head = head_kernel(bytes.data(), split, 0);
+      ASSERT_EQ(tail_kernel(bytes.data() + split, bytes.size() - split, head), whole)
+          << "split " << split;
+    }
+  }
+}
+
+TEST(Crc32, TablePathMatchesBitwiseReference) {
+  ExpectBitwiseAtEveryLengthOffsetAndSeed(&Crc32Table);
+  ExpectChainsAroundBlockBoundaries(&Crc32Table, &Crc32Table);
+}
+
+TEST(Crc32, FoldPathMatchesBitwiseReference) {
+  if (!simd::Crc32FoldAvailable()) {
+    GTEST_SKIP() << "the host has no PCLMULQDQ";
+  }
+  ExpectBitwiseAtEveryLengthOffsetAndSeed(&simd::Crc32Fold);
+  ExpectChainsAroundBlockBoundaries(&simd::Crc32Fold, &simd::Crc32Fold);
+  // A checkpoint written under one kernel verifies under the other.
+  ExpectChainsAroundBlockBoundaries(&Crc32Table, &simd::Crc32Fold);
+  ExpectChainsAroundBlockBoundaries(&simd::Crc32Fold, &Crc32Table);
+}
+
+TEST(Crc32, BothPathsAgreeOnACheckpointSizedBuffer) {
+  if (!simd::Crc32FoldAvailable()) {
+    GTEST_SKIP() << "the host has no PCLMULQDQ";
+  }
+  // About e2ebench caida-sharded's state, with a tail the fold leaves to
+  // the tables.
+  const std::vector<uint8_t> bytes = RandomBytes(33'554'432 + 4'109, 16);
+  const uint32_t table = Crc32Table(bytes.data(), bytes.size());
+  EXPECT_EQ(simd::Crc32Fold(bytes.data(), bytes.size()), table);
+  EXPECT_EQ(Crc32(bytes), table);
+}
+
+TEST(Crc32, EveryFlippedBitOfALargePayloadFailsTheCheck) {
+  // One bit flipped at 256 places spread over a 1 MiB state, at every
+  // offset mod 64 from the payload's start: each must fail the CRC.
+  CheckpointManifest manifest;
+  CheckpointInstance inst;
+  inst.name = "flip";
+  inst.spec = "SS";
+  inst.state = RandomBytes(1 << 20, 17);
+  manifest.instances.push_back(std::move(inst));
+  std::vector<uint8_t> file = EncodeCheckpoint(manifest);
+  // Magic, version, payload length, CRC.
+  constexpr size_t kHeaderBytes = sizeof(uint64_t) + sizeof(uint32_t) + sizeof(uint64_t) +
+                                  sizeof(uint32_t);
+  std::set<size_t> residues;
+  for (size_t i = 0; i < 256; ++i) {
+    const size_t at = i * 4093;  // an odd stride: i * 4093 hits every residue mod 64
+    residues.insert(at % 64);
+    const uint8_t bit = static_cast<uint8_t>(1u << (i % 8));
+    file[kHeaderBytes + at] ^= bit;
+    CheckpointManifest out;
+    std::string err;
+    EXPECT_FALSE(DecodeCheckpoint(file.data(), file.size(), &out, &err)) << "flip at " << at;
+    EXPECT_NE(err.find("failed CRC"), std::string::npos) << "flip at " << at << ": " << err;
+    file[kHeaderBytes + at] ^= bit;
+  }
+  EXPECT_EQ(residues.size(), 64u);
+  CheckpointManifest out;
+  EXPECT_TRUE(DecodeCheckpoint(file.data(), file.size(), &out, nullptr));
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/time.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -31,6 +32,7 @@
 #include "serve/line_server.h"
 #include "serve/net.h"
 #include "serve/serve_core.h"
+#include "slow_batch_algorithm.h"
 #include "telemetry/telemetry.h"
 #include "trace/generators.h"
 #include "trace/oracle.h"
@@ -374,6 +376,66 @@ TEST(ServeProtocol, IngestFromAnIdleFifoCostsNoCpu) {
   EXPECT_EQ(core.PacketsApplied("idle"), trace.packets.size());
   std::remove(fifo.c_str());
   std::remove(capture.c_str());
+}
+
+// The inner of the test below: 20 ms a batch, so a threaded Sharded
+// instance over it takes about a second to drain 50 queued packets.
+std::unique_ptr<TopKAlgorithm> MakeSlowBatchSketch(const SketchArgs& args) {
+  SketchDefaults defaults;
+  defaults.memory_bytes = args.memory_bytes();
+  defaults.k = args.k();
+  auto inner = MakeSketch("SS", defaults);
+  return std::make_unique<SlowBatchAlgorithm>(std::move(inner), std::chrono::milliseconds(20));
+}
+
+// The child half of StatsDoesNotWaitForAThreadedShardedDrain: 0 when STATS
+// answered within 100 ms while the rings held about a second of work, 1
+// when it took longer, 2 when CREATE or ATTACH failed, 3 on a wrong STATS
+// answer.
+int StatsWhileTheRingsDrain(const std::string& capture) {
+  RegisterSketch({"SlowBatchTestDouble", {}, {}, &MakeSlowBatchSketch});
+  ServeCore core(SmallOptions());
+  const std::string spec = "Sharded:n=1,threads=1,burst=1,inner=SlowBatchTestDouble";
+  if (core.Execute("CREATE slow " + spec) != "OK created slow\n" ||
+      core.Execute("ATTACH slow " + capture) != "OK attached slow\n") {
+    return 2;
+  }
+  // Every packet is queued once the ingest thread has counted it.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (core.PacketsApplied("slow") < 50 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const auto before = std::chrono::steady_clock::now();
+  const std::string stats = core.Execute("STATS slow");
+  const auto took = std::chrono::steady_clock::now() - before;
+  const auto took_ms = std::chrono::duration_cast<std::chrono::milliseconds>(took).count();
+  std::fprintf(stderr, "STATS took %lld ms\n", static_cast<long long>(took_ms));
+  const std::string algo = "Sharded:n=1,threads=1,burst=1,inner=slow-batch-test-double";
+  if (stats.find("STAT packets_applied 50\n") == std::string::npos ||
+      stats.find("STAT algo " + algo + "\n") == std::string::npos) {
+    std::fprintf(stderr, "%s", stats.c_str());
+    return 3;
+  }
+  return took < std::chrono::milliseconds(100) ? 0 : 1;
+}
+
+// STATS reads a threaded Sharded instance's name and memory without
+// draining its rings, so a poll never stalls the ingest thread behind the
+// workers. The test sketch is registered in a child process, so no other
+// test's registry sees it.
+TEST(ServeProtocol, StatsDoesNotWaitForAThreadedShardedDrain) {
+  const std::string capture = TempPath("stats_drain_" + std::to_string(::getpid()) + ".pcap");
+  SynthesizeCapture(CampusConfig(50, 3), capture, CaptureSynthOptions{});
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0) << std::strerror(errno);
+  if (child == 0) {
+    ::_exit(StatsWhileTheRingsDrain(capture));
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  std::remove(capture.c_str());
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "see StatsWhileTheRingsDrain for the exit codes";
 }
 
 // A threaded Sharded instance whose capture is drained costs no CPU: its

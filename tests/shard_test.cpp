@@ -30,6 +30,7 @@
 #include "shard/partition.h"
 #include "shard/sharded_topk.h"
 #include "sketch/registry.h"
+#include "slow_batch_algorithm.h"
 #include "trace/generators.h"
 #include "trace/oracle.h"
 
@@ -459,26 +460,35 @@ uint64_t TotalCount(const std::vector<FlowCount>& flows) {
   return total;
 }
 
-// Forwards to an inner algorithm but sleeps before every batch, so each
-// worker burst lasts long enough for a reader to overtake the drain.
-class SlowBatchAlgorithm : public TopKAlgorithm {
- public:
-  explicit SlowBatchAlgorithm(std::unique_ptr<TopKAlgorithm> inner) : inner_(std::move(inner)) {}
-
-  using TopKAlgorithm::InsertBatch;
-  void Insert(FlowId id) override { inner_->Insert(id); }
-  void InsertBatch(std::span<const FlowId> ids) override {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    inner_->InsertBatch(ids);
+TEST(ShardedTopKTest, NameAndMemoryBytesDoNotWaitForTheDrain) {
+  // 50 queued packets in 1-packet bursts at ~20 ms a burst keep the worker
+  // busy for about a second. name() and MemoryBytes() are what hk_serve's
+  // STATS reads under the instance lock; neither may wait for the drain.
+  ShardedTopKOptions options;
+  options.threaded = true;
+  options.drain_burst = 1;
+  auto inner = MakeSketch("SS", TestDefaults());
+  const size_t inner_bytes = inner->MemoryBytes();
+  std::vector<std::unique_ptr<TopKAlgorithm>> inners;
+  const auto pause = std::chrono::milliseconds(20);
+  inners.push_back(std::make_unique<SlowBatchAlgorithm>(std::move(inner), pause));
+  ShardedTopK algo(options, std::move(inners));
+  std::vector<FlowId> packets;
+  for (FlowId i = 0; i < 50; ++i) {
+    packets.push_back(1 + i % 5);
   }
-  std::vector<FlowCount> TopK(size_t k) const override { return inner_->TopK(k); }
-  uint64_t EstimateSize(FlowId id) const override { return inner_->EstimateSize(id); }
-  std::string name() const override { return "slow-batch-test-double"; }
-  size_t MemoryBytes() const override { return inner_->MemoryBytes(); }
+  algo.InsertBatch(packets);
 
- private:
-  std::unique_ptr<TopKAlgorithm> inner_;
-};
+  using Clock = std::chrono::steady_clock;
+  const auto before_name = Clock::now();
+  EXPECT_EQ(algo.name(), "Sharded:n=1,threads=1,burst=1,inner=slow-batch-test-double");
+  EXPECT_LT(Clock::now() - before_name, std::chrono::milliseconds(100));
+  const auto before_memory = Clock::now();
+  EXPECT_EQ(algo.MemoryBytes(), inner_bytes);
+  EXPECT_LT(Clock::now() - before_memory, std::chrono::milliseconds(100));
+  // The queries still drain.
+  EXPECT_EQ(algo.EstimateSize(1), 10u);
+}
 
 TEST(ShardedRelaxedReadTest, RelaxedSnapshotDoesNotWaitForTheDrain) {
   // 4,000 queued packets in 16-packet bursts at ~2 ms a burst keep two
