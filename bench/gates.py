@@ -4,8 +4,9 @@
     ./build/ladder --benchmark_out=ladder.json --benchmark_out_format=json
     python3 bench/gates.py ladder.json
 
-Prints every ladder row's ns per item (packets; blob bytes for L9) and,
-for a row in a chain, its delta over the row below it. Then checks GATES:
+Prints every ladder row's ns per item (packets; queries for L8, blob
+bytes for L9) and, for a row in a chain, its delta over the row below
+it. Then checks GATES:
 each is the best of its numerator rows over its denominator row, in items
 per second (the median of the ladder's repetitions), against a threshold.
 A hard gate below its threshold fails the run (exit 1); a soft one warns.
@@ -69,6 +70,11 @@ GATES = [
          ["L2/weighted/collapsed"], "L2/weighted/replay", 2.0, SOFT),
     # One copy per checkpoint: a second copy of the state would read ~0.5.
     Gate("checkpoint: SaveState / plain copy, reused buffers", ["L9/save"], "L9/copy", 0.7, SOFT),
+    # A TOPK costs about what its snapshot costs: parse and render add
+    # little. Rendering the 100 lines with snprintf and string temporaries
+    # read 0.08; to_chars into one buffer reads 0.31-0.32 (4-vCPU VM).
+    Gate("query: Execute TOPK 100 / its Snapshot(100), HK-Minimum 8 MB",
+         ["L8/execute/topk"], "L8/snapshot/HK-Minimum", 0.2, SOFT),
 ]
 
 CHAINS = [
@@ -78,6 +84,8 @@ CHAINS = [
     # Replay overlaps parse with apply, so its delta over apply alone is
     # what the overlap fails to hide.
     ["L5/parse/slurp", "L6/apply/HK-Minimum", "L6/replay/HK-Minimum"],
+    # Execute's delta over the snapshot is parse, locks and rendering.
+    ["L8/snapshot/HK-Minimum", "L8/execute/topk"],
 ]
 
 

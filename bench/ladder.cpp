@@ -16,6 +16,12 @@
 //   L6 replay          the capture's ids applied alone (parsed beforehand),
 //                      and TraceReplayer over the capture, which parses on
 //                      a second thread while it applies
+//   L8 query           Snapshot(100) of an HK-Minimum:mem=8MB and of a
+//                      drained threaded Sharded (e2ebench caida-sharded's
+//                      spec) holding the capture, and ServeCore::Execute of
+//                      TOPK 100 and POINT on a drained in-process hk_serve
+//                      instance of the same HK-Minimum: request parse, locks,
+//                      the query and the reply's rendering
 //   L9 checkpoint      SaveState, Crc32 (the dispatched kernel, and the
 //                      table loop alone), WriteCheckpointAtomic and
 //                      LoadCheckpoint of a 32 MB HK-Minimum:d=4 (the size of
@@ -23,16 +29,16 @@
 //                      copy of the same bytes; SaveState and the copy reuse
 //                      one buffer, as hk_serve's checkpoints do
 //
-// (hk_serve ingest and query latency under ingest are measured end to end
-// by e2ebench/.) The chain L0 -> L3 runs HK-Minimum:d=4 on a 4 MB,
+// (hk_serve ingest, query latency under ingest and the wire are measured
+// end to end by e2ebench/.) The chain L0 -> L3 runs HK-Minimum:d=4 on a 4 MB,
 // cache-resident sketch over a zipf 0.6 stream: the vector kernels cut
 // compute, which only shows when DRAM misses do not hide it. The L2/L3
 // `dram` rows, the telemetry rows and L4 use a 64 MB (8 MB for Window)
 // sketch past LLC over a zipf 1.0 stream, where prefetching and extra
 // cores pay. L5/L6 read one synthesized 1M-packet campus capture.
 //
-// Items are packets, except for L4/window/snapshot (one TopK(100) each)
-// and L9 (blob bytes). Run settings are fixed here (3 interleaved
+// Items are packets, except for L4/window/snapshot (one TopK(100) each),
+// L8 (queries) and L9 (blob bytes). Run settings are fixed here (3 interleaved
 // repetitions of >= 0.2 s each, medians reported), so a run needs only
 // --benchmark_out=<file> --benchmark_out_format=json. Captures and
 // checkpoint files live in a temp dir removed at exit.
@@ -58,6 +64,7 @@
 #include "ingest/pcap_reader.h"
 #include "ingest/trace_replayer.h"
 #include "serve/checkpoint.h"
+#include "serve/serve_core.h"
 #include "simd/crc32_fold.h"
 #include "simd/hash_batch.h"
 #include "sketch/registry.h"
@@ -105,14 +112,18 @@ const std::vector<FlowId>& CacheTrace() { return Zipf(kCacheSkew, 3); }
 const std::vector<FlowId>& DramTrace() { return Zipf(kDramSkew, 3); }
 const std::vector<FlowId>& TelemetryTrace() { return Zipf(kDramSkew, 7); }
 
-std::unique_ptr<TopKAlgorithm> Make(const std::string& spec, size_t bytes,
-                                    KeyKind key_kind = KeyKind::kSynthetic4B) {
+SketchDefaults Defaults(size_t bytes, KeyKind key_kind) {
   SketchDefaults defaults;
   defaults.memory_bytes = bytes;
   defaults.k = 100;
   defaults.key_kind = key_kind;
   defaults.seed = 1;
-  return MakeSketch(spec, defaults);
+  return defaults;
+}
+
+std::unique_ptr<TopKAlgorithm> Make(const std::string& spec, size_t bytes,
+                                    KeyKind key_kind = KeyKind::kSynthetic4B) {
+  return MakeSketch(spec, Defaults(bytes, key_kind));
 }
 
 // One temp dir for everything the ladder writes, removed at exit.
@@ -380,10 +391,8 @@ void BM_HashBytes(benchmark::State& state, size_t len, SimdKernel kernel) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kBurst));
 }
 
-// The apply half of L6/replay: the capture's ids, parsed once outside the
-// timer, applied in kBurst bursts into the same sketch. Replay overlaps its
-// parse with this, so it can run at most at the slower of the two rates.
-void BM_ApplyCapture(benchmark::State& state, std::string spec) {
+// The capture's ids, parsed once; empty when the capture is unreadable.
+const std::vector<FlowId>& CaptureIds() {
   static const std::vector<FlowId> ids = [] {
     std::vector<FlowId> out;
     PcapReader reader(PcapKeyPolicy::kFiveTuple);
@@ -395,18 +404,31 @@ void BM_ApplyCapture(benchmark::State& state, std::string spec) {
     }
     return out;
   }();
-  if (ids.empty()) {
+  return ids;
+}
+
+// The capture's ids in kBurst bursts, as hk_serve's ingest applies them.
+void ApplyCaptureIds(TopKAlgorithm& algo) {
+  const std::vector<FlowId>& ids = CaptureIds();
+  for (size_t i = 0; i < ids.size(); i += kBurst) {
+    algo.InsertBatch(std::span<const FlowId>(ids).subspan(i, std::min(kBurst, ids.size() - i)));
+  }
+  algo.Flush();
+}
+
+// The apply half of L6/replay: the capture's ids, parsed once outside the
+// timer, applied in kBurst bursts into the same sketch. Replay overlaps its
+// parse with this, so it can run at most at the slower of the two rates.
+void BM_ApplyCapture(benchmark::State& state, std::string spec) {
+  if (CaptureIds().empty()) {
     state.SkipWithError("capture unreadable");
     return;
   }
   auto algo = Make(spec, kReplayBytes, KeyKind::kFiveTuple13B);
   for (auto _ : state) {
-    for (size_t i = 0; i < ids.size(); i += kBurst) {
-      algo->InsertBatch(std::span<const FlowId>(ids).subspan(i, std::min(kBurst, ids.size() - i)));
-    }
-    algo->Flush();
+    ApplyCaptureIds(*algo);
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(ids.size()));
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(CaptureIds().size()));
 }
 
 void BM_Replay(benchmark::State& state, std::string spec, bool byte_weighted) {
@@ -425,6 +447,77 @@ void BM_Replay(benchmark::State& state, std::string spec, bool byte_weighted) {
     packets += replayer.Replay(reader, *algo).packets;
   }
   state.SetItemsProcessed(static_cast<int64_t>(packets));
+}
+
+// --- L8: queries ----------------------------------------------------------
+
+constexpr char kQuerySpec[] = "HK-Minimum:mem=8MB";
+
+// Snapshot(100) of a sketch holding the capture, drained first.
+void BM_Snapshot(benchmark::State& state, std::string spec) {
+  if (CaptureIds().empty()) {
+    state.SkipWithError("capture unreadable");
+    return;
+  }
+  auto algo = Make(spec, kReplayBytes, KeyKind::kFiveTuple13B);
+  ApplyCaptureIds(*algo);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(algo->Snapshot(QueryOptions{100, ConsistencyLevel::kExact}));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+// An in-process hk_serve core whose one instance (kQuerySpec, built with
+// the defaults BM_Snapshot uses) has ingested the whole capture; null when
+// CREATE or ATTACH failed.
+ServeCore* QueryCore() {
+  static const std::unique_ptr<ServeCore> core = [] {
+    ServeOptions options;
+    options.defaults = Defaults(kReplayBytes, KeyKind::kFiveTuple13B);
+    options.ingest_batch = kBurst;
+    auto built = std::make_unique<ServeCore>(options);
+    if (built->Execute(std::string("CREATE flows ") + kQuerySpec) != "OK created flows\n" ||
+        built->Execute("ATTACH flows " + CapturePath()) != "OK attached flows\n") {
+      return std::unique_ptr<ServeCore>();
+    }
+    built->DrainIngest();
+    return built;
+  }();
+  return core.get();
+}
+
+using RequestsFn = std::vector<std::string> (*)();
+
+std::vector<std::string> TopKRequests() { return {"TOPK flows 100"}; }
+
+// POINT requests for the capture's first 256 packets: elephants and mice.
+std::vector<std::string> PointRequests() {
+  std::vector<std::string> requests;
+  const std::vector<FlowId>& ids = CaptureIds();
+  for (size_t i = 0; i < std::min<size_t>(256, ids.size()); ++i) {
+    char line[64];
+    std::snprintf(line, sizeof(line), "POINT flows %llx", static_cast<unsigned long long>(ids[i]));
+    requests.emplace_back(line);
+  }
+  return requests;
+}
+
+// ServeCore::Execute of the requests in turn on the drained instance.
+void BM_Execute(benchmark::State& state, RequestsFn make_requests) {
+  ServeCore* core = QueryCore();
+  const std::vector<std::string> requests = make_requests();
+  if (core == nullptr || requests.empty()) {
+    state.SkipWithError("CREATE or ATTACH failed");
+    return;
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core->Execute(requests[i]));
+    if (++i == requests.size()) {
+      i = 0;
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
 }
 
 // --- L9: checkpoint -------------------------------------------------------
@@ -526,7 +619,8 @@ void BM_Write(benchmark::State& state) {
 }
 
 // Recovery's read: LoadCheckpoint of the file L9/write writes (written
-// here first, since the rows run in random order).
+// here first, since the rows run in random order), with the state left in
+// the file buffer, as ServeCore::Recover reads it.
 void BM_Load(benchmark::State& state) {
   std::string error;
   if (!WriteCheckpointAtomic(CheckpointPath(), LadderManifest(), &error)) {
@@ -534,12 +628,12 @@ void BM_Load(benchmark::State& state) {
     return;
   }
   for (auto _ : state) {
-    CheckpointManifest loaded;
+    LoadedCheckpoint loaded;
     if (!LoadCheckpoint(CheckpointPath(), &loaded, &error)) {
       state.SkipWithError(error.c_str());
       break;
     }
-    benchmark::DoNotOptimize(loaded.instances.data());
+    benchmark::DoNotOptimize(loaded.states.data());
   }
   SetBlobItems(state);
 }
@@ -619,6 +713,12 @@ void RegisterRows() {
                     "HK-Minimum:cb=32,wdecay=collapsed", true)
       ->Unit(benchmark::kMillisecond)
       ->UseRealTime();
+
+  RegisterBenchmark("L8/snapshot/HK-Minimum", BM_Snapshot, std::string(kQuerySpec));
+  RegisterBenchmark("L8/snapshot/Sharded", BM_Snapshot,
+                    "Sharded:n=2,threads=1,mem=32MB,inner=HK-Minimum:d=4");
+  RegisterBenchmark("L8/execute/topk", BM_Execute, &TopKRequests);
+  RegisterBenchmark("L8/execute/point", BM_Execute, &PointRequests);
 
   RegisterBenchmark("L9/copy", BM_Copy)->Unit(benchmark::kMillisecond)->UseRealTime();
   RegisterBenchmark("L9/save", BM_Save)->Unit(benchmark::kMillisecond)->UseRealTime();

@@ -83,6 +83,14 @@ class GateTableTest(unittest.TestCase):
         self.assertEqual(status_of(gate, *setting(gate, 3.0 * 0.999)), "FAIL")
         self.assertEqual(status_of(gate, *setting(gate, 3.0), kernel="scalar"), "SKIP")
 
+    def test_query_gate_is_soft_over_the_snapshot(self):
+        gate = next(g for g in gates.GATES if g.num == ["L8/execute/topk"])
+        self.assertEqual(gate.den, "L8/snapshot/HK-Minimum")
+        self.assertFalse(gate.hard)
+        self.assertEqual(status_of(gate, *setting(gate, 0.2)), "PASS")
+        self.assertEqual(status_of(gate, *setting(gate, 0.14)), "WARN")
+        self.assertIn(["L8/snapshot/HK-Minimum", "L8/execute/topk"], gates.CHAINS)
+
     def test_soft_gates_only_warn(self):
         soft = [g for g in gates.GATES if not g.hard]
         self.assertTrue(soft)

@@ -429,7 +429,7 @@ int Query(const Options& opts) {
     return 1;
   }
   int status = 0;
-  std::string carry;
+  LineCarry carry;
   for (const std::string& request : opts.lines) {
     const std::string framed = request + "\n";
     if (!WriteAll(fd, framed.data(), framed.size())) {
@@ -459,7 +459,7 @@ int Query(const Options& opts) {
 
 // One METRICS scrape over an existing connection. Appends exposition lines
 // (END stripped) to *lines; false when the daemon answered ERR or hung up.
-bool ScrapeMetrics(int fd, std::string* carry, const std::string& filter,
+bool ScrapeMetrics(int fd, LineCarry* carry, const std::string& filter,
                    std::vector<std::string>* lines) {
   const std::string request = filter.empty() ? "METRICS\n" : "METRICS " + filter + "\n";
   if (!WriteAll(fd, request.data(), request.size())) {
@@ -493,7 +493,7 @@ int Metrics(const Options& opts) {
     std::fprintf(stderr, "hk_serve unreachable: %s\n", err.c_str());
     return 1;
   }
-  std::string carry;
+  LineCarry carry;
   std::vector<std::string> lines;
   const bool ok =
       ScrapeMetrics(fd, &carry, opts.lines.empty() ? "" : opts.lines[0], &lines);
@@ -522,7 +522,7 @@ int Watch(const Options& opts) {
     std::fprintf(stderr, "hk_serve unreachable: %s\n", err.c_str());
     return 1;
   }
-  std::string carry;
+  LineCarry carry;
   std::map<std::string, double> previous;
   bool first = true;
   for (;;) {

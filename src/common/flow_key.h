@@ -13,9 +13,11 @@
 #ifndef HK_COMMON_FLOW_KEY_H_
 #define HK_COMMON_FLOW_KEY_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace hk {
 
@@ -28,6 +30,27 @@ struct FlowCount {
 
   bool operator==(const FlowCount&) const = default;
 };
+
+// The report order of every top-k answer: estimate descending, ties by id
+// ascending. Entry is FlowCount or any struct with the same two fields.
+template <typename Entry>
+bool RanksBefore(const Entry& a, const Entry& b) {
+  return a.count != b.count ? a.count > b.count : a.id < b.id;
+}
+
+// Keeps the k entries that rank first, in report order: nth_element when
+// k < size, then std::sort of those k. A query over a full store of k
+// entries pays one sort, not partial_sort's heap pass.
+template <typename Entry>
+void RankTopK(std::vector<Entry>& entries, size_t k) {
+  const auto before = [](const Entry& a, const Entry& b) { return RanksBefore(a, b); };
+  if (k < entries.size()) {
+    std::nth_element(entries.begin(), entries.begin() + static_cast<std::ptrdiff_t>(k),
+                     entries.end(), before);
+    entries.resize(k);
+  }
+  std::sort(entries.begin(), entries.end(), before);
+}
 
 enum class KeyKind {
   kSynthetic4B,  // paper's synthetic traces: "each packet is 4 bytes long"

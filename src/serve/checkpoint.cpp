@@ -131,8 +131,10 @@ bool WriteFd(int fd, const uint8_t* data, size_t size) {
   return true;
 }
 
+// Each instance's state blob is left in `data`: (*states)[i] views
+// instance i's, and its CheckpointInstance::state stays empty.
 bool DecodePayload(const uint8_t* data, size_t size, CheckpointManifest* out,
-                   std::string* error) {
+                   std::vector<std::span<const uint8_t>>* states, std::string* error) {
   ByteReader reader(data, size);
   uint64_t count = 0;
   if (!reader.Read(&count)) {
@@ -145,14 +147,17 @@ bool DecodePayload(const uint8_t* data, size_t size, CheckpointManifest* out,
   }
   CheckpointManifest manifest;
   manifest.instances.reserve(static_cast<size_t>(count));
+  std::vector<std::span<const uint8_t>> views;
+  views.reserve(static_cast<size_t>(count));
   for (uint64_t i = 0; i < count; ++i) {
     CheckpointInstance inst;
+    std::span<const uint8_t> state;
     if (!reader.ReadString(&inst.name) || !reader.ReadString(&inst.spec) ||
         !reader.Read(&inst.memory_bytes) || !reader.Read(&inst.k) ||
         !reader.Read(&inst.key_kind) || !reader.Read(&inst.seed) ||
         !reader.ReadString(&inst.source) || !reader.Read(&inst.source_key_policy) ||
         !reader.Read(&inst.byte_weighted) || !reader.Read(&inst.packets_applied) ||
-        !reader.ReadBlob(&inst.state)) {
+        !reader.BorrowBlob(&state)) {
       return Fail(error, "checkpoint payload truncated inside instance " + std::to_string(i));
     }
     if (inst.name.empty()) {
@@ -166,11 +171,13 @@ bool DecodePayload(const uint8_t* data, size_t size, CheckpointManifest* out,
       return Fail(error, "checkpoint instance " + inst.name + " has an invalid source binding");
     }
     manifest.instances.push_back(std::move(inst));
+    views.push_back(state);
   }
   if (!reader.Done()) {
     return Fail(error, "checkpoint payload has trailing bytes");
   }
   *out = std::move(manifest);
+  *states = std::move(views);
   return true;
 }
 
@@ -194,7 +201,7 @@ std::vector<uint8_t> EncodeCheckpoint(const CheckpointManifest& manifest) {
 }
 
 bool DecodeCheckpoint(const uint8_t* data, size_t size, CheckpointManifest* out,
-                      std::string* error) {
+                      std::vector<std::span<const uint8_t>>* states, std::string* error) {
   ByteReader reader(data, size);
   uint64_t magic = 0;
   uint32_t version = 0;
@@ -224,7 +231,7 @@ bool DecodeCheckpoint(const uint8_t* data, size_t size, CheckpointManifest* out,
     crc_failures->Add();
     return Fail(error, "checkpoint payload failed CRC (corrupt write)");
   }
-  return DecodePayload(payload, static_cast<size_t>(payload_len), out, error);
+  return DecodePayload(payload, static_cast<size_t>(payload_len), out, states, error);
 }
 
 bool WriteCheckpointAtomic(const std::string& path, const CheckpointManifest& manifest,
@@ -299,7 +306,7 @@ bool WriteCheckpointAtomic(const std::string& path, const CheckpointManifest& ma
   return true;
 }
 
-bool LoadCheckpoint(const std::string& path, CheckpointManifest* out, std::string* error) {
+bool LoadCheckpoint(const std::string& path, LoadedCheckpoint* out, std::string* error) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     return Fail(error, "open " + path + ": " + std::strerror(errno));
@@ -331,7 +338,14 @@ bool LoadCheckpoint(const std::string& path, CheckpointManifest* out, std::strin
     size += static_cast<size_t>(n);
   }
   ::close(fd);
-  return DecodeCheckpoint(bytes.data(), size, out, error);
+  LoadedCheckpoint loaded;
+  if (!DecodeCheckpoint(bytes.data(), size, &loaded.manifest, &loaded.states, error)) {
+    return false;
+  }
+  // A moved vector keeps its heap buffer, so the views stay valid.
+  loaded.file = std::move(bytes);
+  *out = std::move(loaded);
+  return true;
 }
 
 bool RemoveStaleCheckpointTemp(const std::string& path) {

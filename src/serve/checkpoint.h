@@ -25,6 +25,7 @@
 #define HK_SERVE_CHECKPOINT_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,7 +53,7 @@ struct CheckpointInstance {
   uint8_t source_key_policy = 0;  // PcapKeyPolicy, validated on load
   uint8_t byte_weighted = 0;
   uint64_t packets_applied = 0;
-  std::vector<uint8_t> state;  // TopKAlgorithm::SaveState blob
+  std::vector<uint8_t> state;  // TopKAlgorithm::SaveState blob (a decode views it instead)
 };
 
 struct CheckpointManifest {
@@ -61,9 +62,12 @@ struct CheckpointManifest {
 
 // Serialize / parse the manifest payload (magic + version + CRC framing
 // included). Parse returns false on any structural defect; `error` (when
-// non-null) carries the diagnostic.
+// non-null) carries the diagnostic. Parse leaves every state blob in
+// `data`: (*states)[i] views instance i's SaveState blob, and
+// out->instances[i].state stays empty, so the views live as long as `data`.
 std::vector<uint8_t> EncodeCheckpoint(const CheckpointManifest& manifest);
 bool DecodeCheckpoint(const uint8_t* data, size_t size, CheckpointManifest* out,
+                      std::vector<std::span<const uint8_t>>* states,
                       std::string* error = nullptr);
 
 // Atomic write: <path>.tmp + fsync + rename + directory fsync. False on
@@ -71,9 +75,25 @@ bool DecodeCheckpoint(const uint8_t* data, size_t size, CheckpointManifest* out,
 bool WriteCheckpointAtomic(const std::string& path, const CheckpointManifest& manifest,
                            std::string* error = nullptr);
 
+// A checkpoint file as DecodeCheckpoint leaves it: `states` views the
+// blobs in `file`, the buffer the file was read into. Moving the whole
+// object keeps the views valid, and a copy's would point into the
+// original, so there is none.
+struct LoadedCheckpoint {
+  LoadedCheckpoint() = default;
+  LoadedCheckpoint(LoadedCheckpoint&&) = default;
+  LoadedCheckpoint& operator=(LoadedCheckpoint&&) = default;
+  LoadedCheckpoint(const LoadedCheckpoint&) = delete;
+  LoadedCheckpoint& operator=(const LoadedCheckpoint&) = delete;
+
+  CheckpointManifest manifest;
+  std::vector<std::span<const uint8_t>> states;
+  std::vector<uint8_t> file;
+};
+
 // Read + verify `path`. False when the file is missing, truncated, torn,
 // or fails CRC - the caller starts fresh instead of trusting it.
-bool LoadCheckpoint(const std::string& path, CheckpointManifest* out,
+bool LoadCheckpoint(const std::string& path, LoadedCheckpoint* out,
                     std::string* error = nullptr);
 
 // Remove a stale `<path>.tmp` left by a crash mid-write. Returns true if

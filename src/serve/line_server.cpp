@@ -6,12 +6,30 @@
 #include <cerrno>
 #include <iterator>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <utility>
 
 #include "serve/net.h"
 
 namespace hk {
+namespace {
+
+// Verbs that can block for milliseconds: CHECKPOINT writes and fsyncs a
+// file, ATTACH opens and reads a source (a FIFO's open waits for a
+// writer), CREATE allocates and zeroes a sketch, DROP joins an ingest
+// thread. The replies held before one of these are sent first.
+bool MayBlock(std::string_view line) {
+  constexpr std::string_view kSpace = " \t\n\v\f\r";  // what ServeCore's tokenizer skips
+  const size_t begin = line.find_first_not_of(kSpace);
+  if (begin == std::string_view::npos) {
+    return false;
+  }
+  const std::string_view verb = line.substr(begin, line.find_first_of(kSpace, begin) - begin);
+  return verb == "CHECKPOINT" || verb == "ATTACH" || verb == "CREATE" || verb == "DROP";
+}
+
+}  // namespace
 
 LineServer::LineServer(ServeCore& core) : core_(core) {
   telemetry::Registry& registry = telemetry::Registry::Get();
@@ -135,8 +153,15 @@ void LineServer::ReapFinished() {
 
 void LineServer::ServeConnection(Client* client) {
   const int fd = client->fd;
-  std::string carry;
+  LineCarry carry;
   std::string line;
+  // Replies not yet sent, in request order.
+  std::string replies;
+  const auto send_replies = [&] {
+    const bool sent = replies.empty() || WriteAll(fd, replies.data(), replies.size());
+    replies.clear();
+    return sent;
+  };
   while (!stopping_.load(std::memory_order_acquire)) {
     const ReadLineStatus status = ReadLineEx(fd, &carry, &line);
     if (status == ReadLineStatus::kTooLong) {
@@ -157,16 +182,24 @@ void LineServer::ServeConnection(Client* client) {
       break;
     }
     if (line == "QUIT" || line == "quit") {
-      WriteAll(fd, "OK bye\n", 7);
+      replies += "OK bye\n";
+      send_replies();
       break;
     }
     if (line == "SHUTDOWN" || line == "shutdown") {
+      // The earlier replies go out before the daemon starts to exit.
+      send_replies();
       shutdown_requested_.store(true, std::memory_order_release);
       WriteAll(fd, "OK shutting down\n", 17);
       break;
     }
-    const std::string response = core_.Execute(line);
-    if (!WriteAll(fd, response.data(), response.size())) {
+    if (!replies.empty() && MayBlock(line) && !send_replies()) {
+      break;
+    }
+    replies += core_.Execute(line);
+    // Send before the next read could wait on the socket (no complete
+    // request is left), or once the held replies pass the cap.
+    if ((!carry.HasLine() || replies.size() > kMaxPendingReplyBytes) && !send_replies()) {
       break;
     }
   }

@@ -8,6 +8,18 @@
 // connection-level verbs are handled here rather than in the core: QUIT
 // closes the connection, and SHUTDOWN asks the whole daemon to exit (the
 // binary polls shutdown_requested()).
+//
+// When replies are sent: a connection executes every complete request
+// line it has already received, in order, and sends their replies with
+// one write when no complete line is left, as soon as they pass
+// kMaxPendingReplyBytes, before a request that can block for milliseconds
+// (CHECKPOINT, ATTACH, CREATE, DROP), and before the reply to QUIT or
+// SHUTDOWN. A client that writes one request at a time therefore gets one
+// write per reply; a pipelined burst gets one write (per 64 KiB) for the
+// whole burst. The trade-off: a held reply also waits for the queries
+// after it in the burst, and an exact query on a threaded Sharded
+// instance first waits for the packets already in its rings to be
+// applied. Nagle stays on for accepted sockets.
 #ifndef HK_SERVE_LINE_SERVER_H_
 #define HK_SERVE_LINE_SERVER_H_
 
@@ -26,6 +38,10 @@ namespace hk {
 
 // Open connections one LineServer serves at once.
 inline constexpr size_t kMaxConnections = 256;
+
+// Replies one connection holds before it sends them, while more complete
+// requests wait in its read buffer.
+inline constexpr size_t kMaxPendingReplyBytes = 64 * 1024;
 
 class LineServer {
  public:

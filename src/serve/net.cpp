@@ -111,19 +111,23 @@ bool WriteAll(int fd, const char* data, size_t size) {
   return true;
 }
 
-ReadLineStatus ReadLineEx(int fd, std::string* carry, std::string* line) {
-  size_t scanned = 0;  // prefix of *carry already known to hold no newline
+ReadLineStatus ReadLineEx(int fd, LineCarry* carry, std::string* line) {
+  std::string& bytes = carry->bytes;
+  size_t scanned = carry->pos;  // bytes before this hold no newline
   for (;;) {
-    const size_t nl = carry->find('\n', scanned);
+    const size_t nl = bytes.find('\n', scanned);
     if (nl != std::string::npos) {
-      *line = carry->substr(0, nl);
+      line->assign(bytes, carry->pos, nl - carry->pos);
       if (!line->empty() && line->back() == '\r') {
         line->pop_back();
       }
-      carry->erase(0, nl + 1);
+      carry->pos = nl + 1;
       return ReadLineStatus::kLine;
     }
-    scanned = carry->size();
+    // Every complete line has been taken: drop them before reading more.
+    bytes.erase(0, carry->pos);
+    carry->pos = 0;
+    scanned = bytes.size();
     if (scanned > kMaxRequestLineBytes) {
       return ReadLineStatus::kTooLong;
     }
@@ -138,9 +142,9 @@ ReadLineStatus ReadLineEx(int fd, std::string* carry, std::string* line) {
     if (n == 0) {
       // EOF. With bytes in the carry the client died mid-request - that is
       // a protocol error the caller may want to count, not a clean close.
-      return carry->empty() ? ReadLineStatus::kEof : ReadLineStatus::kTruncated;
+      return bytes.empty() ? ReadLineStatus::kEof : ReadLineStatus::kTruncated;
     }
-    carry->append(chunk, static_cast<size_t>(n));
+    bytes.append(chunk, static_cast<size_t>(n));
   }
 }
 

@@ -39,6 +39,19 @@ enum class ReadLineStatus {
   kTooLong,    // more than kMaxRequestLineBytes arrived with no newline
 };
 
+// Bytes received on a connection that ReadLineEx has not yet returned as
+// lines. Lines are taken by offset; the bytes before `pos` are dropped only
+// when the next recv needs room, so a burst of N lines costs one move of
+// the carry, not N.
+struct LineCarry {
+  std::string bytes;
+  size_t pos = 0;  // first byte not yet returned as part of a line
+
+  // A complete line is buffered: the next ReadLineEx returns it without
+  // reading the socket.
+  bool HasLine() const { return bytes.find('\n', pos) != std::string::npos; }
+};
+
 // Read one '\n'-terminated line (newline stripped, CR tolerated) through a
 // caller-held carry buffer. Distinguishes a clean disconnect from a
 // connection that died mid-line or errored, so servers can count protocol
@@ -46,11 +59,11 @@ enum class ReadLineStatus {
 // byte is searched for the newline once per call, and a line that passes
 // kMaxRequestLineBytes without one ends the read (kTooLong) instead of
 // growing the carry without bound.
-ReadLineStatus ReadLineEx(int fd, std::string* carry, std::string* line);
+ReadLineStatus ReadLineEx(int fd, LineCarry* carry, std::string* line);
 
 // Compatibility wrapper: true only for kLine (clients that retry or close
 // either way do not care which way the stream ended).
-inline bool ReadLine(int fd, std::string* carry, std::string* line) {
+inline bool ReadLine(int fd, LineCarry* carry, std::string* line) {
   return ReadLineEx(fd, carry, line) == ReadLineStatus::kLine;
 }
 

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <span>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -19,12 +19,15 @@
 namespace hk {
 namespace {
 
+// Splits on the characters istream's >> skips in the C locale.
 std::vector<std::string> Tokenize(const std::string& line) {
+  constexpr const char* kSpace = " \t\n\v\f\r";
   std::vector<std::string> tokens;
-  std::istringstream in(line);
-  std::string token;
-  while (in >> token) {
-    tokens.push_back(token);
+  size_t start = line.find_first_not_of(kSpace);
+  while (start != std::string::npos) {
+    const size_t end = line.find_first_of(kSpace, start);
+    tokens.emplace_back(line, start, end - start);  // to the end when end is npos
+    start = line.find_first_not_of(kSpace, end);
   }
   return tokens;
 }
@@ -43,11 +46,14 @@ bool ParseUint(const std::string& text, uint64_t* out, int base = 10) {
   return true;
 }
 
-std::string HexId(FlowId id) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%llx", static_cast<unsigned long long>(id));
-  return buf;
+// Appends the decimal digits of `value`, without a temporary string.
+void AppendUint(std::string& out, uint64_t value) {
+  char buf[20];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
 }
+
+// "FLOW " + 16 hex digits + ' ' + 20 decimal digits + '\n'.
+constexpr size_t kMaxFlowLineBytes = 43;
 
 // Open the reader for a binding: "-" and "tcp://..." always stream,
 // "stream:<path>" forces the bounded-buffer incremental mode, a bare path
@@ -522,16 +528,19 @@ bool ServeCore::Recover(size_t* recovered, std::string* err) {
   // A crash mid-write leaves a stale temp next to the (intact) previous
   // checkpoint; clear it so nothing ever reads it.
   RemoveStaleCheckpointTemp(options_.checkpoint_path);
-  CheckpointManifest manifest;
+  // Each LoadState reads its state where the file was read into.
+  LoadedCheckpoint checkpoint;
   std::string load_err;
-  if (!LoadCheckpoint(options_.checkpoint_path, &manifest, &load_err)) {
+  if (!LoadCheckpoint(options_.checkpoint_path, &checkpoint, &load_err)) {
     if (load_err.rfind("open ", 0) == 0) {
       return true;  // no checkpoint yet: fresh start
     }
     *err = load_err;
     return false;
   }
-  for (const CheckpointInstance& entry : manifest.instances) {
+  for (size_t i = 0; i < checkpoint.manifest.instances.size(); ++i) {
+    const CheckpointInstance& entry = checkpoint.manifest.instances[i];
+    const std::span<const uint8_t> state = checkpoint.states[i];
     SketchDefaults defaults;
     defaults.memory_bytes = static_cast<size_t>(entry.memory_bytes);
     defaults.k = static_cast<size_t>(entry.k);
@@ -543,7 +552,7 @@ bool ServeCore::Recover(size_t* recovered, std::string* err) {
       *err = "instance '" + entry.name + "': " + build_err;
       return false;
     }
-    if (!algo->LoadState(entry.state.data(), entry.state.size())) {
+    if (!algo->LoadState(state.data(), state.size())) {
       *err = "instance '" + entry.name + "': checkpoint state rejected by " + algo->name();
       return false;
     }
@@ -725,14 +734,26 @@ std::string ServeCore::CmdTopK(const std::vector<std::string>& args) {
   }
   (result.consistency == ConsistencyLevel::kRelaxed ? tm_relaxed_queries_ : tm_exact_queries_)
       ->Add();
-  std::string out;
+  // The FLOW lines go straight into one buffer sized for the longest ids
+  // and counts, then cut to what they took.
+  std::string out(result.flows.size() * kMaxFlowLineBytes, '\0');
+  char* at = out.data();
   for (const FlowCount& flow : result.flows) {
-    out += "FLOW " + HexId(flow.id) + " " + std::to_string(flow.count) + "\n";
+    std::memcpy(at, "FLOW ", 5);
+    at = std::to_chars(at + 5, at + 21, flow.id, 16).ptr;
+    *at++ = ' ';
+    at = std::to_chars(at, at + 20, flow.count).ptr;
+    *at++ = '\n';
   }
-  out += std::string("END consistency=") +
-         (result.consistency == ConsistencyLevel::kRelaxed ? "relaxed" : "exact") +
-         " tracked=" + std::to_string(result.stats.tracked_flows) +
-         " min=" + std::to_string(result.stats.min_tracked) + window_suffix + "\n";
+  out.resize(static_cast<size_t>(at - out.data()));
+  out += result.consistency == ConsistencyLevel::kRelaxed ? "END consistency=relaxed"
+                                                          : "END consistency=exact";
+  out += " tracked=";
+  AppendUint(out, result.stats.tracked_flows);
+  out += " min=";
+  AppendUint(out, result.stats.min_tracked);
+  out += window_suffix;
+  out += '\n';
   return out;
 }
 
@@ -758,7 +779,10 @@ std::string ServeCore::CmdPoint(const std::vector<std::string>& args) {
     estimate = inst->algo->EstimateSize(id);
   }
   tm_exact_queries_->Add();
-  return "OK " + std::to_string(estimate) + "\n";
+  std::string out = "OK ";
+  AppendUint(out, estimate);
+  out += '\n';
+  return out;
 }
 
 std::string ServeCore::CmdStats(const std::vector<std::string>& args) {

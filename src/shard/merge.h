@@ -46,9 +46,11 @@ enum class MergeMode {
 };
 
 // Merge the per-list reports, order by (estimate desc, id asc) - the
-// TopKAlgorithm reporting order - and keep the k largest. Inputs need not
-// be sorted. The default mode keeps the historical disjoint-shard
-// semantics; see the mode contract above before switching.
+// TopKAlgorithm reporting order - and keep the k largest. kDisjoint takes
+// each list in that order, as TopK() returns it, and merges the lists
+// without sorting; kSumById inputs need not be sorted. The default mode
+// keeps the historical disjoint-shard semantics; see the mode contract
+// above before switching.
 std::vector<FlowCount> MergeTopK(const std::vector<std::vector<FlowCount>>& per_shard, size_t k,
                                  MergeMode mode = MergeMode::kDisjoint);
 

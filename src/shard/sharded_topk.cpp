@@ -157,10 +157,25 @@ void ShardedTopK::WorkerLoop(size_t shard_index) {
       weights[i] = packets[i].weight;
       unit_weights &= packets[i].weight == 1;
     }
+    // The worker and the readers take turns at the shard's lock, which is
+    // not fair either way by itself: the readers waiting when a burst is
+    // popped take it first (until that many grants, or none waits), and a
+    // reader that comes while the worker then waits for it lets the worker
+    // go first. So a reader waits at most one burst, and back-to-back
+    // readers cannot hold the drain off.
+    if (const uint32_t waiting = shard.readers_waiting.load(std::memory_order_acquire)) {
+      const uint64_t until = shard.reads_granted.load(std::memory_order_acquire) + waiting;
+      while (shard.readers_waiting.load(std::memory_order_acquire) != 0 &&
+             shard.reads_granted.load(std::memory_order_acquire) < until) {
+        std::this_thread::yield();
+      }
+    }
+    shard.worker_waiting.store(true, std::memory_order_release);
     // Drain through the inner batch fast path; a run of unit weights
     // takes the software-pipelined unweighted entry point.
     {
       const std::lock_guard<std::mutex> lock(shard.mu);
+      shard.worker_waiting.store(false, std::memory_order_release);
       if (unit_weights) {
         shard.algo->InsertBatch(std::span<const FlowId>(ids.data(), n));
       } else {
@@ -191,8 +206,17 @@ void ShardedTopK::WaitIdle() const {
 }
 
 std::unique_lock<std::mutex> ShardedTopK::LockShard(const Shard& shard) const {
-  return options_.threaded ? std::unique_lock<std::mutex>(shard.mu)
-                           : std::unique_lock<std::mutex>();
+  if (!options_.threaded) {
+    return std::unique_lock<std::mutex>();
+  }
+  while (shard.worker_waiting.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+  shard.readers_waiting.fetch_add(1, std::memory_order_acq_rel);
+  std::unique_lock<std::mutex> lock(shard.mu);
+  shard.reads_granted.fetch_add(1, std::memory_order_acq_rel);
+  shard.readers_waiting.fetch_sub(1, std::memory_order_acq_rel);
+  return lock;
 }
 
 void ShardedTopK::Flush() { WaitIdle(); }

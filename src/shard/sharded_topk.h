@@ -179,6 +179,15 @@ class ShardedTopK : public TopKAlgorithm {
     // Threaded mode: algo->MemoryBytes() as of the worker's last burst (or
     // the last LoadState), on a line only the worker writes.
     alignas(64) std::atomic<size_t> memory_bytes{0};
+    // Threaded mode: the turns at `mu` (WorkerLoop, LockShard). Readers
+    // waiting for it, the times a reader has taken it, and whether the
+    // worker waits for it. std::mutex is not fair: a worker that relocks a
+    // few µs after unlocking can win it burst after burst, so a relaxed
+    // read would wait for the whole drain, and back-to-back readers can
+    // win it read after read, so the drain would stall.
+    alignas(64) mutable std::atomic<uint32_t> readers_waiting{0};
+    mutable std::atomic<uint64_t> reads_granted{0};
+    std::atomic<bool> worker_waiting{false};
   };
 
   void Enqueue(FlowId id, uint64_t weight);
@@ -188,7 +197,8 @@ class ShardedTopK : public TopKAlgorithm {
   void PushRun(Shard& shard, std::span<const FlowId> ids, const uint64_t* weights);
   void WorkerLoop(size_t shard_index);
   void WaitIdle() const;
-  // The shard's lock in threaded mode; an empty (unlocked) lock otherwise.
+  // The shard's lock in threaded mode, taken in turn with the worker's
+  // bursts; an empty (unlocked) lock otherwise.
   std::unique_lock<std::mutex> LockShard(const Shard& shard) const;
   // Shared constructor tail: wrap `inners` into shards, then spin up the
   // rings and workers when threaded.

@@ -78,15 +78,7 @@ std::vector<FlowCount> CounterTree::TopK(size_t k) const {
   for (const FlowId id : seen_) {
     all.push_back({id, EstimateSize(id)});
   }
-  const auto cmp = [](const FlowCount& a, const FlowCount& b) {
-    if (a.count != b.count) {
-      return a.count > b.count;
-    }
-    return a.id < b.id;
-  };
-  const size_t take = std::min(k, all.size());
-  std::partial_sort(all.begin(), all.begin() + take, all.end(), cmp);
-  all.resize(take);
+  RankTopK(all, k);
   return all;
 }
 

@@ -55,6 +55,8 @@ std::vector<FlowCount> Css::TopK(size_t k) const {
       out.push_back({it->second, e.count});
     }
   }
+  // The summary ranks ties by fingerprint; a report ranks them by id.
+  RankTopK(out, k);
   return out;
 }
 

@@ -76,15 +76,7 @@ std::vector<FlowCount> ElasticSketch::TopK(size_t k) const {
         bucket.vote_pos + (bucket.flag ? LightQuery(bucket.key) : 0);
     all.push_back({bucket.key, est});
   }
-  const auto cmp = [](const FlowCount& a, const FlowCount& b) {
-    if (a.count != b.count) {
-      return a.count > b.count;
-    }
-    return a.id < b.id;
-  };
-  const size_t take = std::min(k, all.size());
-  std::partial_sort(all.begin(), all.begin() + take, all.end(), cmp);
-  all.resize(take);
+  RankTopK(all, k);
   return all;
 }
 

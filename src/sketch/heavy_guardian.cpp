@@ -66,15 +66,7 @@ std::vector<FlowCount> HeavyGuardian::TopK(size_t k) const {
       all.push_back({slot.id, slot.count});
     }
   }
-  const auto cmp = [](const FlowCount& a, const FlowCount& b) {
-    if (a.count != b.count) {
-      return a.count > b.count;
-    }
-    return a.id < b.id;
-  };
-  const size_t take = std::min(k, all.size());
-  std::partial_sort(all.begin(), all.begin() + take, all.end(), cmp);
-  all.resize(take);
+  RankTopK(all, k);
   return all;
 }
 

@@ -1,6 +1,5 @@
 #include "summary/lazy_topk.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace hk {
@@ -60,15 +59,7 @@ void LazyTopKStore::FixRoot() const {
 
 std::vector<FlowCount> LazyTopKStore::TopK(size_t k) const {
   std::vector<FlowCount> all = Entries();
-  const auto cmp = [](const FlowCount& a, const FlowCount& b) {
-    if (a.count != b.count) {
-      return a.count > b.count;
-    }
-    return a.id < b.id;
-  };
-  const size_t take = std::min(k, all.size());
-  std::partial_sort(all.begin(), all.begin() + take, all.end(), cmp);
-  all.resize(take);
+  RankTopK(all, k);
   return all;
 }
 

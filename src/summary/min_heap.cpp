@@ -1,6 +1,5 @@
 #include "summary/min_heap.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace hk {
@@ -43,15 +42,7 @@ void IndexedMinHeap::RaiseCount(FlowId id, uint64_t count) {
 
 std::vector<FlowCount> IndexedMinHeap::TopK(size_t k) const {
   std::vector<FlowCount> all = heap_;
-  const auto cmp = [](const FlowCount& a, const FlowCount& b) {
-    if (a.count != b.count) {
-      return a.count > b.count;
-    }
-    return a.id < b.id;
-  };
-  const size_t take = std::min(k, all.size());
-  std::partial_sort(all.begin(), all.begin() + take, all.end(), cmp);
-  all.resize(take);
+  RankTopK(all, k);
   return all;
 }
 

@@ -128,15 +128,7 @@ std::vector<StreamSummary::Entry> StreamSummary::Entries() const {
 
 std::vector<StreamSummary::Entry> StreamSummary::TopK(size_t k) const {
   std::vector<Entry> all = Entries();
-  const auto cmp = [](const Entry& a, const Entry& b) {
-    if (a.count != b.count) {
-      return a.count > b.count;
-    }
-    return a.id < b.id;
-  };
-  const size_t take = std::min(k, all.size());
-  std::partial_sort(all.begin(), all.begin() + take, all.end(), cmp);
-  all.resize(take);
+  RankTopK(all, k);
   return all;
 }
 

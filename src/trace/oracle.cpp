@@ -23,15 +23,7 @@ std::vector<FlowCount> Oracle::TopK(size_t k) const {
   for (const auto& [id, count] : counts_) {
     all.push_back({id, count});
   }
-  const size_t take = std::min(k, all.size());
-  const auto cmp = [](const FlowCount& a, const FlowCount& b) {
-    if (a.count != b.count) {
-      return a.count > b.count;
-    }
-    return a.id < b.id;
-  };
-  std::partial_sort(all.begin(), all.begin() + take, all.end(), cmp);
-  all.resize(take);
+  RankTopK(all, k);
   return all;
 }
 

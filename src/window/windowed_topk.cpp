@@ -189,12 +189,7 @@ std::vector<FlowCount> WindowedTopK::MergedWindow(size_t k, size_t* tracked) con
   for (size_t i = 0; i < candidates.size(); ++i) {
     candidates[i].count = counts[i];
   }
-  std::sort(candidates.begin(), candidates.end(), [](const FlowCount& a, const FlowCount& b) {
-    return a.count != b.count ? a.count > b.count : a.id < b.id;
-  });
-  if (candidates.size() > k) {
-    candidates.resize(k);
-  }
+  RankTopK(candidates, k);
   return candidates;
 }
 

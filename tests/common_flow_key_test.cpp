@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
+
+#include "common/random.h"
 
 namespace hk {
 namespace {
@@ -73,6 +77,46 @@ TEST(FiveTupleTest, ManyTuplesRarelyCollide) {
     ids.insert(t.Id());
   }
   EXPECT_EQ(ids.size(), 20000u);
+}
+
+// The reference a ranked report must equal: a full std::sort by (count
+// desc, id asc), cut to k.
+std::vector<FlowCount> SortedPrefix(std::vector<FlowCount> all, size_t k) {
+  std::sort(all.begin(), all.end(), [](const FlowCount& a, const FlowCount& b) {
+    return a.count != b.count ? a.count > b.count : a.id < b.id;
+  });
+  all.resize(std::min(k, all.size()));
+  return all;
+}
+
+TEST(RankTopKTest, MatchesAFullSortWithTiesAndEveryK) {
+  // Pairs of ids that differ only in the low bit, with counts drawn from
+  // eight values, so most entries tie in count with many others.
+  Rng rng(7);
+  std::vector<FlowCount> entries;
+  for (int i = 0; i < 500; ++i) {
+    const FlowId even = rng.NextU64() & ~FlowId{1};
+    entries.push_back({even | 1, rng.NextBounded(8)});
+    entries.push_back({even, rng.NextBounded(8)});
+  }
+  entries.push_back({2, 5});
+  entries.push_back({3, 5});
+  for (const size_t k : {size_t{0}, size_t{1}, size_t{7}, size_t{100}, entries.size() - 1,
+                         entries.size(), entries.size() + 1, size_t{100000}}) {
+    std::vector<FlowCount> ranked = entries;
+    RankTopK(ranked, k);
+    EXPECT_EQ(ranked, SortedPrefix(entries, k)) << "k = " << k;
+  }
+  std::vector<FlowCount> none;
+  RankTopK(none, 3);
+  EXPECT_TRUE(none.empty());
+}
+
+TEST(RankTopKTest, TiesRankByIdAscending) {
+  std::vector<FlowCount> entries = {{3, 5}, {2, 5}, {9, 7}, {1, 0}, {0, 5}};
+  RankTopK(entries, 4);
+  const std::vector<FlowCount> expected = {{9, 7}, {0, 5}, {2, 5}, {3, 5}};
+  EXPECT_EQ(entries, expected);
 }
 
 }  // namespace

@@ -10,12 +10,14 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -193,14 +195,17 @@ TEST(Crc32, EveryFlippedBitOfALargePayloadFailsTheCheck) {
     const uint8_t bit = static_cast<uint8_t>(1u << (i % 8));
     file[kHeaderBytes + at] ^= bit;
     CheckpointManifest out;
+    std::vector<std::span<const uint8_t>> states;
     std::string err;
-    EXPECT_FALSE(DecodeCheckpoint(file.data(), file.size(), &out, &err)) << "flip at " << at;
+    EXPECT_FALSE(DecodeCheckpoint(file.data(), file.size(), &out, &states, &err))
+        << "flip at " << at;
     EXPECT_NE(err.find("failed CRC"), std::string::npos) << "flip at " << at << ": " << err;
     file[kHeaderBytes + at] ^= bit;
   }
   EXPECT_EQ(residues.size(), 64u);
   CheckpointManifest out;
-  EXPECT_TRUE(DecodeCheckpoint(file.data(), file.size(), &out, nullptr));
+  std::vector<std::span<const uint8_t>> states;
+  EXPECT_TRUE(DecodeCheckpoint(file.data(), file.size(), &out, &states, nullptr));
 }
 
 // ---------------------------------------------------------------------------
@@ -304,8 +309,11 @@ CheckpointManifest SampleManifest() {
   return m;
 }
 
-void ExpectEqualManifests(const CheckpointManifest& x, const CheckpointManifest& y) {
+// `y` as decoded: its state blobs are the views in `y_states`.
+void ExpectEqualManifests(const CheckpointManifest& x, const CheckpointManifest& y,
+                          const std::vector<std::span<const uint8_t>>& y_states) {
   ASSERT_EQ(x.instances.size(), y.instances.size());
+  ASSERT_EQ(x.instances.size(), y_states.size());
   for (size_t i = 0; i < x.instances.size(); ++i) {
     const auto& p = x.instances[i];
     const auto& q = y.instances[i];
@@ -319,7 +327,8 @@ void ExpectEqualManifests(const CheckpointManifest& x, const CheckpointManifest&
     EXPECT_EQ(p.source_key_policy, q.source_key_policy);
     EXPECT_EQ(p.byte_weighted, q.byte_weighted);
     EXPECT_EQ(p.packets_applied, q.packets_applied);
-    EXPECT_EQ(p.state, q.state);
+    EXPECT_TRUE(std::ranges::equal(p.state, y_states[i]));
+    EXPECT_TRUE(q.state.empty());
   }
 }
 
@@ -327,15 +336,17 @@ TEST(CheckpointFormat, EncodeDecodeRoundTrip) {
   const CheckpointManifest m = SampleManifest();
   const std::vector<uint8_t> bytes = EncodeCheckpoint(m);
   CheckpointManifest out;
+  std::vector<std::span<const uint8_t>> states;
   std::string err;
-  ASSERT_TRUE(DecodeCheckpoint(bytes.data(), bytes.size(), &out, &err)) << err;
-  ExpectEqualManifests(m, out);
+  ASSERT_TRUE(DecodeCheckpoint(bytes.data(), bytes.size(), &out, &states, &err)) << err;
+  ExpectEqualManifests(m, out, states);
 }
 
 TEST(CheckpointFormat, EmptyManifestRoundTrips) {
   const std::vector<uint8_t> bytes = EncodeCheckpoint(CheckpointManifest{});
   CheckpointManifest out;
-  ASSERT_TRUE(DecodeCheckpoint(bytes.data(), bytes.size(), &out, nullptr));
+  std::vector<std::span<const uint8_t>> states;
+  ASSERT_TRUE(DecodeCheckpoint(bytes.data(), bytes.size(), &out, &states, nullptr));
   EXPECT_TRUE(out.instances.empty());
 }
 
@@ -344,7 +355,9 @@ TEST(CheckpointFormat, RejectsEveryTruncationPoint) {
   // A crash can tear the file at any byte; no prefix may load.
   for (size_t len = 0; len < bytes.size(); ++len) {
     CheckpointManifest out;
-    EXPECT_FALSE(DecodeCheckpoint(bytes.data(), len, &out, nullptr)) << "prefix length " << len;
+    std::vector<std::span<const uint8_t>> states;
+    EXPECT_FALSE(DecodeCheckpoint(bytes.data(), len, &out, &states, nullptr))
+        << "prefix length " << len;
   }
 }
 
@@ -355,8 +368,9 @@ TEST(CheckpointFormat, RejectsBitFlips) {
     std::vector<uint8_t> bad = bytes;
     bad[pos] ^= 0x20;
     CheckpointManifest out;
+    std::vector<std::span<const uint8_t>> states;
     std::string err;
-    EXPECT_FALSE(DecodeCheckpoint(bad.data(), bad.size(), &out, &err))
+    EXPECT_FALSE(DecodeCheckpoint(bad.data(), bad.size(), &out, &states, &err))
         << "bit flip at " << pos << " loaded anyway";
   }
 }
@@ -365,15 +379,17 @@ TEST(CheckpointFormat, RejectsAppendedGarbage) {
   std::vector<uint8_t> bytes = EncodeCheckpoint(SampleManifest());
   bytes.insert(bytes.end(), {0xde, 0xad, 0xbe, 0xef});
   CheckpointManifest out;
-  EXPECT_FALSE(DecodeCheckpoint(bytes.data(), bytes.size(), &out, nullptr));
+  std::vector<std::span<const uint8_t>> states;
+  EXPECT_FALSE(DecodeCheckpoint(bytes.data(), bytes.size(), &out, &states, nullptr));
 }
 
 TEST(CheckpointFormat, RejectsForeignFile) {
   const std::string text = "GIF89a definitely not a checkpoint";
   CheckpointManifest out;
+  std::vector<std::span<const uint8_t>> states;
   std::string err;
   EXPECT_FALSE(DecodeCheckpoint(reinterpret_cast<const uint8_t*>(text.data()), text.size(), &out,
-                                &err));
+                                &states, &err));
   EXPECT_FALSE(err.empty());
 }
 
@@ -382,9 +398,9 @@ TEST(CheckpointFile, AtomicWriteThenLoad) {
   const CheckpointManifest m = SampleManifest();
   std::string err;
   ASSERT_TRUE(WriteCheckpointAtomic(path, m, &err)) << err;
-  CheckpointManifest out;
+  LoadedCheckpoint out;
   ASSERT_TRUE(LoadCheckpoint(path, &out, &err)) << err;
-  ExpectEqualManifests(m, out);
+  ExpectEqualManifests(m, out.manifest, out.states);
   // No temp residue after a clean commit.
   EXPECT_FALSE(RemoveStaleCheckpointTemp(path));
   std::remove(path.c_str());
@@ -398,9 +414,9 @@ TEST(CheckpointFile, RewriteReplacesAtomically) {
   second.instances[0].packets_applied = 999999;
   second.instances.pop_back();
   ASSERT_TRUE(WriteCheckpointAtomic(path, second, nullptr));
-  CheckpointManifest out;
+  LoadedCheckpoint out;
   ASSERT_TRUE(LoadCheckpoint(path, &out, nullptr));
-  ExpectEqualManifests(second, out);
+  ExpectEqualManifests(second, out.manifest, out.states);
   std::remove(path.c_str());
 }
 
@@ -409,7 +425,7 @@ TEST(CheckpointFile, TornFileOnDiskRefusesToLoad) {
   const std::vector<uint8_t> bytes = EncodeCheckpoint(SampleManifest());
   // Simulate a non-atomic writer dying mid-write: half the file.
   WriteFileBytes(path, std::vector<uint8_t>(bytes.begin(), bytes.begin() + bytes.size() / 2));
-  CheckpointManifest out;
+  LoadedCheckpoint out;
   std::string err;
   EXPECT_FALSE(LoadCheckpoint(path, &out, &err));
   EXPECT_FALSE(err.empty());
@@ -425,15 +441,15 @@ TEST(CheckpointFile, StaleTempIsDetectedAndRemoved) {
   // And a stale temp never shadows the committed file.
   ASSERT_TRUE(WriteCheckpointAtomic(path, SampleManifest(), nullptr));
   WriteFileBytes(tmp, {0x01, 0x02, 0x03});
-  CheckpointManifest out;
+  LoadedCheckpoint out;
   ASSERT_TRUE(LoadCheckpoint(path, &out, nullptr));
-  EXPECT_EQ(out.instances.size(), 2u);
+  EXPECT_EQ(out.manifest.instances.size(), 2u);
   std::remove(tmp.c_str());
   std::remove(path.c_str());
 }
 
 TEST(CheckpointFile, MissingFileReportsOpenError) {
-  CheckpointManifest out;
+  LoadedCheckpoint out;
   std::string err;
   EXPECT_FALSE(LoadCheckpoint(TempPath("ckpt_never_written.hk"), &out, &err));
   // ServeCore::Recover keys "fresh start" off this prefix.
@@ -520,21 +536,22 @@ TEST(CheckpointGolden, AtomicWriterReproducesCommittedFile) {
 
 TEST(CheckpointGolden, CommittedFileRestoresTheReplay) {
   const GoldenReplay replay = ReplayGolden();
-  CheckpointManifest loaded;
+  LoadedCheckpoint loaded;
   std::string err;
   ASSERT_TRUE(LoadCheckpoint(GoldenPath(), &loaded, &err)) << err;
-  ASSERT_EQ(loaded.instances.size(), replay.algos.size());
+  ASSERT_EQ(loaded.manifest.instances.size(), replay.algos.size());
   QueryOptions exact;
   exact.k = 50;
   for (size_t i = 0; i < replay.algos.size(); ++i) {
-    const CheckpointInstance& entry = loaded.instances[i];
+    const CheckpointInstance& entry = loaded.manifest.instances[i];
     SketchDefaults defaults;
     defaults.memory_bytes = entry.memory_bytes;
     defaults.k = entry.k;
     defaults.key_kind = static_cast<KeyKind>(entry.key_kind);
     defaults.seed = entry.seed;
     auto restored = MakeSketch(entry.spec, defaults);
-    ASSERT_TRUE(restored->LoadState(entry.state.data(), entry.state.size())) << entry.spec;
+    ASSERT_TRUE(restored->LoadState(loaded.states[i].data(), loaded.states[i].size()))
+        << entry.spec;
     const QueryResult want = replay.algos[i]->Snapshot(exact);
     const QueryResult got = restored->Snapshot(exact);
     ASSERT_FALSE(want.flows.empty()) << entry.spec;

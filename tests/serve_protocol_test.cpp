@@ -23,9 +23,11 @@
 #include <fstream>
 #include <future>
 #include <iterator>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ingest/capture_synth.h"
@@ -36,6 +38,7 @@
 #include "telemetry/telemetry.h"
 #include "trace/generators.h"
 #include "trace/oracle.h"
+#include "window/windowed_topk.h"
 
 namespace hk {
 namespace {
@@ -614,10 +617,138 @@ TEST(ServeProtocol, CheckpointDisabledWithoutPath) {
 }
 
 // ---------------------------------------------------------------------------
+// Reply rendering: TOPK and POINT replies at the edges of a uint64 id and
+// count, byte for byte against the text snprintf("%llx") and
+// std::to_string render.
+
+constexpr uint64_t kMaxU64 = std::numeric_limits<uint64_t>::max();
+
+// Ids 0, 1 and 2^64 - 1 with counts 2^64 - 1 and 0, in rank order.
+const std::vector<FlowCount>& EdgeReport() {
+  static const std::vector<FlowCount> report = {
+      {0, kMaxU64}, {kMaxU64, kMaxU64}, {0xabcdef, 12345}, {1, 0}};
+  return report;
+}
+
+// A sketch that holds the edge report and nothing else.
+class EdgeReportSketch : public TopKAlgorithm {
+ public:
+  void Insert(FlowId) override {}
+  std::vector<FlowCount> TopK(size_t k) const override {
+    const std::vector<FlowCount>& all = EdgeReport();
+    return {all.begin(), all.begin() + static_cast<std::ptrdiff_t>(std::min(k, all.size()))};
+  }
+  uint64_t EstimateSize(FlowId id) const override {
+    for (const FlowCount& flow : EdgeReport()) {
+      if (flow.id == id) {
+        return flow.count;
+      }
+    }
+    return 0;
+  }
+  std::string name() const override { return "edge-report-test-double"; }
+  size_t MemoryBytes() const override { return 0; }
+};
+
+// A TOPK reply as snprintf and std::to_string render it.
+std::string ReferenceTopK(const QueryResult& result, const std::string& suffix = "") {
+  std::string out;
+  for (const FlowCount& flow : result.flows) {
+    char id[32];
+    std::snprintf(id, sizeof(id), "%llx", static_cast<unsigned long long>(flow.id));
+    out += "FLOW " + std::string(id) + " " + std::to_string(flow.count) + "\n";
+  }
+  return out + "END consistency=exact tracked=" + std::to_string(result.stats.tracked_flows) +
+         " min=" + std::to_string(result.stats.min_tracked) + suffix + "\n";
+}
+
+std::unique_ptr<TopKAlgorithm> MakeEdgeReportSketch(const SketchArgs&) {
+  return std::make_unique<EdgeReportSketch>();
+}
+
+// The child half of RepliesRenderEdgeIdsAndCounts: the number of replies
+// that differ from the reference (each printed), or 100 when CREATE fails.
+int EdgeRepliesDiffering() {
+  RegisterSketch({"EdgeReportTestDouble", {}, {}, &MakeEdgeReportSketch});
+  ServeCore core(SmallOptions());
+  if (core.Execute("CREATE edge EdgeReportTestDouble") != "OK created edge\n") {
+    return 100;
+  }
+  EdgeReportSketch sketch;
+  const std::string top2 = ReferenceTopK(sketch.Snapshot({.k = 2}));
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      // k above the tracked count: all four flows.
+      {"TOPK edge 10", ReferenceTopK(sketch.Snapshot({.k = 10}))},
+      {"TOPK edge 2", top2},
+      {"TOPK 2 exact", top2},
+      // Every character istream's >> skips separates tokens.
+      {" \tTOPK\vedge\f 2\r", top2},
+      {"POINT edge 0", "OK " + std::to_string(kMaxU64) + "\n"},
+      {"POINT edge 1", "OK 0\n"},
+      {"POINT edge ffffffffffffffff", "OK 18446744073709551615\n"},
+      {"POINT abcdef", "OK 12345\n"},
+      {"POINT edge 2", "OK 0\n"},
+  };
+  int differing = 0;
+  for (const auto& [request, want] : cases) {
+    const std::string got = core.Execute(request);
+    if (got != want) {
+      std::fprintf(stderr, "'%s' answered:\n%swant:\n%s", request.c_str(), got.c_str(),
+                   want.c_str());
+      ++differing;
+    }
+  }
+  return differing;
+}
+
+// The test sketch is registered in a child process, so no other test's
+// registry sees it.
+TEST(ServeProtocol, RepliesRenderEdgeIdsAndCounts) {
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0) << std::strerror(errno);
+  if (child == 0) {
+    ::_exit(EdgeRepliesDiffering());
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "replies differing from the reference (see stderr)";
+}
+
+// TOPK ... window: the reply equals the in-process Window's Snapshot of the
+// same stream, rendered as above, with k below and above the tracked count.
+TEST(ServeProtocol, WindowTopKRendersTheInProcessSnapshot) {
+  const Fixture& fx = CampusCapture();
+  const std::string spec = "Window:w=4,epoch=1000,inner=HK-Minimum";
+  ServeCore core(SmallOptions());
+  ASSERT_EQ(core.Execute("CREATE recent " + spec), "OK created recent\n");
+  ASSERT_EQ(core.Execute("ATTACH recent " + fx.path), "OK attached recent\n");
+  core.DrainIngest();
+
+  std::unique_ptr<TopKAlgorithm> reference = MakeSketch(spec, SmallOptions().defaults);
+  const std::span<const FlowId> packets(fx.trace.packets);
+  const size_t burst = SmallOptions().ingest_batch;
+  for (size_t i = 0; i < packets.size(); i += burst) {
+    reference->InsertBatch(packets.subspan(i, std::min(burst, packets.size() - i)));
+  }
+  const auto& window = dynamic_cast<const WindowedTopK&>(*reference);
+  const std::string suffix = " window=" + std::to_string(window.window_epochs()) +
+                             " epoch_packets=" + std::to_string(window.epoch_packets()) +
+                             " completed_epochs=" + std::to_string(window.completed_epochs());
+  for (const size_t k : {size_t{5}, size_t{100000}}) {
+    const QueryResult result = reference->Snapshot({.k = k});
+    ASSERT_FALSE(result.flows.empty());
+    EXPECT_EQ(core.Execute("TOPK recent " + std::to_string(k) + " window"),
+              ReferenceTopK(result, suffix))
+        << "k = " << k;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // The TCP transport.
 
 // Read response lines until a terminator ("END ...", "OK ...", "ERR ...").
-std::vector<std::string> Request(int fd, std::string* carry, const std::string& line) {
+std::vector<std::string> Request(int fd, LineCarry* carry, const std::string& line) {
   EXPECT_TRUE(WriteAll(fd, (line + "\n").data(), line.size() + 1));
   std::vector<std::string> lines;
   std::string got;
@@ -640,7 +771,7 @@ TEST(LineServerTest, ServesProtocolOverLoopback) {
 
   const int fd = ConnectTcp("127.0.0.1", server.port(), &err);
   ASSERT_GE(fd, 0) << err;
-  std::string carry;
+  LineCarry carry;
 
   auto expect_one = [&](const std::string& request, const std::string& response) {
     const auto lines = Request(fd, &carry, request);
@@ -664,7 +795,7 @@ TEST(LineServerTest, ServesProtocolOverLoopback) {
   // A second concurrent client sees the same instance map.
   const int fd2 = ConnectTcp("localhost", server.port(), &err);
   ASSERT_GE(fd2, 0) << err;
-  std::string carry2;
+  LineCarry carry2;
   const auto list = Request(fd2, &carry2, "LIST");
   ASSERT_EQ(list.size(), 2u);
   EXPECT_EQ(list[0].rfind("INSTANCE campus ", 0), 0u);
@@ -710,7 +841,7 @@ TEST(LineServerTest, FinishedConnectionsAreReaped) {
   for (int cycle = 0; cycle < 1000; ++cycle) {
     const int fd = ConnectTcp("127.0.0.1", server.port(), &err);
     ASSERT_GE(fd, 0) << err;
-    std::string carry;
+    LineCarry carry;
     const auto bye = Request(fd, &carry, "QUIT");
     ::close(fd);
     ASSERT_EQ(bye, std::vector<std::string>{"OK bye"}) << "cycle " << cycle;
@@ -734,7 +865,7 @@ TEST(LineServerTest, ConnectionsPastTheCapAreRefused) {
     const int fd = ConnectTcp("127.0.0.1", server.port(), &err);
     ASSERT_GE(fd, 0) << err;
     held.push_back(fd);
-    std::string carry;
+    LineCarry carry;
     ASSERT_EQ(Request(fd, &carry, "PING"), std::vector<std::string>{"OK pong"})
         << "connection " << i;
   }
@@ -745,7 +876,7 @@ TEST(LineServerTest, ConnectionsPastTheCapAreRefused) {
   // out instead of hanging.
   const timeval timeout{5, 0};
   ASSERT_EQ(::setsockopt(extra, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)), 0);
-  std::string carry;
+  LineCarry carry;
   std::string line;
   ASSERT_EQ(ReadLineEx(extra, &carry, &line), ReadLineStatus::kLine);
   EXPECT_EQ(line, "ERR too many connections (limit 256)");
@@ -764,7 +895,7 @@ TEST(LineServerTest, ConnectionsPastTheCapAreRefused) {
   for (int attempt = 0; attempt < 100 && !served; ++attempt) {
     const int fd = ConnectTcp("127.0.0.1", server.port(), &err);
     ASSERT_GE(fd, 0) << err;
-    std::string retry_carry;
+    LineCarry retry_carry;
     WriteAll(fd, "PING\n", 5);
     served = ReadLine(fd, &retry_carry, &line) && line == "OK pong";
     ::close(fd);
@@ -800,7 +931,7 @@ TEST(LineServerTest, StopUnblocksPendingReads) {
 TEST(ReadLineExTest, DistinguishesEofTruncatedAndLine) {
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  std::string carry;
+  LineCarry carry;
   std::string line;
 
   // A complete line followed by a half line, then the writer hangs up.
@@ -813,7 +944,7 @@ TEST(ReadLineExTest, DistinguishesEofTruncatedAndLine) {
 
   // Clean close with nothing buffered is a polite goodbye.
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  carry.clear();
+  carry = {};
   ::close(sv[0]);
   EXPECT_EQ(ReadLineEx(sv[1], &carry, &line), ReadLineStatus::kEof);
   ::close(sv[1]);
@@ -837,7 +968,7 @@ TEST(ReadLineExTest, LineLongerThanTheLimitIsTooLong) {
     WriteAll(fd, flood.data(), flood.size());
     ::close(fd);
   });
-  std::string carry;
+  LineCarry carry;
   std::string line;
   EXPECT_EQ(ReadLineEx(sv[1], &carry, &line), ReadLineStatus::kLine);
   EXPECT_EQ(line.size(), kMaxRequestLineBytes);
@@ -863,7 +994,7 @@ TEST(LineServerTest, ByteAtATimeClientAndTruncationTelemetry) {
   for (char byte : request) {  // TCP_NODELAY: each byte is its own segment
     ASSERT_TRUE(WriteAll(fd, &byte, 1));
   }
-  std::string carry;
+  LineCarry carry;
   std::string line;
   ASSERT_TRUE(ReadLine(fd, &carry, &line));
   EXPECT_EQ(line, "OK pong");
@@ -901,7 +1032,7 @@ TEST(LineServerTest, OverlongRequestLineIsRefusedAndClosed) {
   const std::string flood(kMaxRequestLineBytes + 1, 'A');
   ASSERT_TRUE(WriteAll(fd, flood.data(), flood.size()));
   ::shutdown(fd, SHUT_WR);
-  std::string carry;
+  LineCarry carry;
   std::string line;
   ASSERT_EQ(ReadLineEx(fd, &carry, &line), ReadLineStatus::kLine);
   EXPECT_EQ(line, "ERR request line longer than 65536 bytes");
@@ -915,11 +1046,170 @@ TEST(LineServerTest, OverlongRequestLineIsRefusedAndClosed) {
   const int next = ConnectTcp("127.0.0.1", server.port(), &err);
   ASSERT_GE(next, 0) << err;
   ASSERT_TRUE(WriteAll(next, "PING\n", 5));
-  carry.clear();
+  carry = {};
   ASSERT_TRUE(ReadLine(next, &carry, &line));
   EXPECT_EQ(line, "OK pong");
   ::close(next);
   server.Stop();
+}
+
+
+// ---------------------------------------------------------------------------
+// Pipelined bursts: a connection executes every request already received
+// and sends the replies together, so each test reads the whole reply
+// stream and cuts it into replies by their framing.
+
+// Every byte the server sends until it closes the connection.
+std::string ReadUntilClosed(int fd) {
+  const timeval timeout{10, 0};
+  EXPECT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)), 0);
+  std::string received;
+  char chunk[65536];
+  for (;;) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) {
+      EXPECT_EQ(n, 0) << "recv: " << std::strerror(errno);
+      return received;
+    }
+    received.append(chunk, static_cast<size_t>(n));
+  }
+}
+
+// The next reply at *pos: through its END line when it is multi-line,
+// else its one line. Empty when the stream ends mid-reply.
+std::string NextReply(const std::string& stream, size_t* pos, bool multi_line) {
+  size_t end = *pos;
+  for (;;) {
+    const size_t nl = stream.find('\n', end);
+    if (nl == std::string::npos) {
+      return "";
+    }
+    const bool last = !multi_line || stream.compare(end, 3, "END") == 0;
+    end = nl + 1;
+    if (last) {
+      break;
+    }
+  }
+  std::string reply = stream.substr(*pos, end - *pos);
+  *pos = end;
+  return reply;
+}
+
+// One write of 205 mixed requests whose replies pass the 64 KiB send
+// threshold, then QUIT: every reply arrives whole and in order, then
+// "OK bye", then the close.
+TEST(LineServerTest, PipelinedBurstRepliesArriveWholeAndInOrder) {
+  const Fixture& fx = CampusCapture();
+  ServeCore core(SmallOptions());
+  ASSERT_EQ(core.Execute("CREATE campus HK:mem=64KB"), "OK created campus\n");
+  ASSERT_EQ(core.Execute("ATTACH campus " + fx.path), "OK attached campus\n");
+  core.DrainIngest();
+  LineServer server(core);
+  std::string err;
+  ASSERT_TRUE(server.Start(0, &err)) << err;
+
+  std::vector<std::string> requests;
+  for (int i = 0; i < 50; ++i) {
+    char point[64];
+    std::snprintf(point, sizeof(point), "POINT campus %llx",
+                  static_cast<unsigned long long>(fx.trace.packets[i * 7]));
+    requests.insert(requests.end(), {"TOPK campus 100", point, "FETCH everything", "PING"});
+    if (i % 10 == 0) {
+      requests.push_back("METRICS hk_serve_");
+    }
+  }
+  ASSERT_GE(requests.size(), 200u);
+  std::string burst;
+  for (const std::string& request : requests) {
+    burst += request + "\n";
+  }
+  burst += "QUIT\n";
+  const int fd = ConnectTcp("127.0.0.1", server.port(), &err);
+  ASSERT_GE(fd, 0) << err;
+  ASSERT_TRUE(WriteAll(fd, burst.data(), burst.size()));
+  const std::string stream = ReadUntilClosed(fd);
+  ::close(fd);
+  EXPECT_GT(stream.size(), kMaxPendingReplyBytes);
+
+  size_t pos = 0;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const std::string& request = requests[i];
+    const bool metrics = request.rfind("METRICS", 0) == 0;
+    const std::string reply = NextReply(stream, &pos, metrics || request.rfind("TOPK", 0) == 0);
+    if (metrics) {
+      // Counters move with every request: check the framing alone.
+      EXPECT_EQ(reply.rfind("# HELP hk_serve_", 0), 0u) << "request " << i;
+      EXPECT_NE(reply.find("\nhk_serve_requests_total{verb=\"TOPK\"} "), std::string::npos);
+      EXPECT_TRUE(reply.ends_with("\nEND\n")) << "request " << i;
+    } else {
+      // A drained instance answers these the same every time.
+      ASSERT_EQ(reply, core.Execute(request)) << "request " << i << ": " << request;
+    }
+  }
+  EXPECT_EQ(stream.substr(pos), "OK bye\n");
+  server.Stop();
+}
+
+// A pipelined burst followed by a line past the 64 KiB limit: the burst's
+// replies arrive, in order, before the ERR that ends the connection.
+TEST(LineServerTest, PipelinedRepliesPrecedeTheOverlongLineError) {
+  ServeCore core(SmallOptions());
+  ASSERT_EQ(core.Execute("CREATE a SS"), "OK created a\n");
+  LineServer server(core);
+  std::string err;
+  ASSERT_TRUE(server.Start(0, &err)) << err;
+  const int fd = ConnectTcp("127.0.0.1", server.port(), &err);
+  ASSERT_GE(fd, 0) << err;
+  // The reader is the server's: this write may outrun the socket buffers.
+  std::thread writer([fd] {
+    const std::string burst = "PING\nPOINT a 1\nTOPK a 5\nBOGUS\n";
+    const std::string flood(kMaxRequestLineBytes + 1, 'x');
+    WriteAll(fd, burst.data(), burst.size());
+    WriteAll(fd, flood.data(), flood.size());
+    ::shutdown(fd, SHUT_WR);
+  });
+  const std::string stream = ReadUntilClosed(fd);
+  writer.join();
+  ::close(fd);
+  const std::string want = "OK pong\nOK 0\nEND consistency=exact tracked=0 min=0\n" +
+                           core.Execute("BOGUS") + "ERR request line longer than 65536 bytes\n";
+  EXPECT_EQ(stream, want);
+  server.Stop();
+}
+
+// A request that can block does not hold back the replies before it:
+// ATTACH of a FIFO waits in its open for a writer, and the PING written
+// in the same burst ahead of it must be answered meanwhile.
+TEST(LineServerTest, PipelinedRepliesPrecedeABlockingAttach) {
+  const std::string fifo = TempPath("serve_wire_fifo_" + std::to_string(::getpid()));
+  std::remove(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
+  ServeCore core(SmallOptions());
+  ASSERT_EQ(core.Execute("CREATE waiting HK"), "OK created waiting\n");
+  LineServer server(core);
+  std::string err;
+  ASSERT_TRUE(server.Start(0, &err)) << err;
+  const int fd = ConnectTcp("127.0.0.1", server.port(), &err);
+  ASSERT_GE(fd, 0) << err;
+  const std::string burst = "PING\nATTACH waiting " + fifo + "\nPING\nQUIT\n";
+  ASSERT_TRUE(WriteAll(fd, burst.data(), burst.size()));
+  const timeval timeout{2, 0};
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)), 0);
+  char first[9] = {};
+  const ssize_t got = ::recv(fd, first, sizeof(first) - 1, MSG_WAITALL);
+  // Open and close a writer: ATTACH's open returns, finds no capture
+  // header, and answers ERR.
+  const int writer = ::open(fifo.c_str(), O_WRONLY);
+  EXPECT_GE(writer, 0) << std::strerror(errno);
+  ::close(writer);
+  EXPECT_EQ(std::string(first, got > 0 ? static_cast<size_t>(got) : 0), "OK pong\n")
+      << "the PING's reply waited for ATTACH";
+  const std::string rest = ReadUntilClosed(fd);
+  ::close(fd);
+  EXPECT_EQ(rest.rfind("ERR ", 0), 0u) << rest;
+  EXPECT_TRUE(rest.ends_with("\nOK pong\nOK bye\n")) << rest;
+  server.Stop();
+  std::remove(fifo.c_str());
 }
 
 }  // namespace

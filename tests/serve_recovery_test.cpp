@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -113,10 +114,10 @@ TEST(ServeRecovery, KilledMidIngestRecoversWithZeroLossFromFileSource) {
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
     ASSERT_TRUE(core.WriteCheckpoint(&err)) << err;
-    CheckpointManifest m;
+    LoadedCheckpoint m;
     ASSERT_TRUE(LoadCheckpoint(ckpt, &m, &err)) << err;
-    ASSERT_EQ(m.instances.size(), 1u);
-    offset_at_checkpoint = m.instances[0].packets_applied;
+    ASSERT_EQ(m.manifest.instances.size(), 1u);
+    offset_at_checkpoint = m.manifest.instances[0].packets_applied;
     EXPECT_GE(offset_at_checkpoint, 2000u);
     // Crash: the core dies here; everything applied after the checkpoint
     // is lost with the process.
@@ -168,10 +169,10 @@ TEST(ServeRecovery, BackToBackCheckpointsWriteIdenticalFiles) {
   const std::string second = checkpoint_bytes();
   EXPECT_FALSE(first.empty());
   EXPECT_TRUE(first == second) << first.size() << " bytes, then " << second.size();
-  CheckpointManifest manifest;
-  ASSERT_TRUE(LoadCheckpoint(ckpt, &manifest, &err)) << err;
-  ASSERT_EQ(manifest.instances.size(), 2u);
-  EXPECT_EQ(manifest.instances[0].packets_applied, Capture().trace.packets.size());
+  LoadedCheckpoint loaded;
+  ASSERT_TRUE(LoadCheckpoint(ckpt, &loaded, &err)) << err;
+  ASSERT_EQ(loaded.manifest.instances.size(), 2u);
+  EXPECT_EQ(loaded.manifest.instances[0].packets_applied, Capture().trace.packets.size());
   std::remove(ckpt.c_str());
 }
 
@@ -199,9 +200,9 @@ TEST(ServeRecovery, SkipEndingMidBurstRecoversExactly) {
     // Checkpoint again while the cut lands on a 100-record boundary.
     do {
       ASSERT_TRUE(core.WriteCheckpoint(&err)) << err;
-      CheckpointManifest m;
+      LoadedCheckpoint m;
       ASSERT_TRUE(LoadCheckpoint(ckpt, &m, &err)) << err;
-      cut = m.instances[0].packets_applied;
+      cut = m.manifest.instances[0].packets_applied;
     } while (cut % 100 == 0);
   }
 
@@ -242,10 +243,10 @@ TEST(ServeRecovery, SkipEndingMidBurstRecoversExactly) {
   std::vector<uint8_t> reference_state;
   ASSERT_TRUE(reference->SaveState(&reference_state));
   ASSERT_TRUE(revived.WriteCheckpoint(&err)) << err;
-  CheckpointManifest m;
+  LoadedCheckpoint m;
   ASSERT_TRUE(LoadCheckpoint(ckpt, &m, &err)) << err;
-  ASSERT_EQ(m.instances.size(), 1u);
-  EXPECT_TRUE(m.instances[0].state == reference_state) << "cut " << cut;
+  ASSERT_EQ(m.manifest.instances.size(), 1u);
+  EXPECT_TRUE(std::ranges::equal(m.states[0], reference_state)) << "cut " << cut;
   std::remove(ckpt.c_str());
 }
 
@@ -274,9 +275,9 @@ TEST(ServeRecovery, WindowedInstanceRecoversRingContentsIntact) {
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
     ASSERT_TRUE(core.WriteCheckpoint(&err)) << err;
-    CheckpointManifest m;
+    LoadedCheckpoint m;
     ASSERT_TRUE(LoadCheckpoint(ckpt, &m, &err)) << err;
-    offset_at_checkpoint = m.instances[0].packets_applied;
+    offset_at_checkpoint = m.manifest.instances[0].packets_applied;
     EXPECT_GE(offset_at_checkpoint, 5000u);
     // Crash here.
   }
@@ -328,9 +329,9 @@ TEST(ServeRecovery, KilledDuringCheckpointWriteRecoversFromPreviousDurableOne) {
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
     ASSERT_TRUE(core.WriteCheckpoint(&err)) << err;
-    CheckpointManifest m;
+    LoadedCheckpoint m;
     ASSERT_TRUE(LoadCheckpoint(ckpt, &m, &err)) << err;
-    durable_offset = m.instances[0].packets_applied;
+    durable_offset = m.manifest.instances[0].packets_applied;
   }
   // Kill point: the next checkpoint died mid-write, leaving a partial
   // temp file beside the intact previous manifest (exactly what the
@@ -494,9 +495,9 @@ TEST(ServeRecovery, NonReplayableSocketSourceLosesAtMostTheTailAfterTheCut) {
     core.DrainIngest();  // the feeder closes after the full capture
     EXPECT_EQ(core.PacketsApplied("t"), fx.trace.packets.size());
     ASSERT_TRUE(core.WriteCheckpoint(&err)) << err;
-    CheckpointManifest m;
+    LoadedCheckpoint m;
     ASSERT_TRUE(LoadCheckpoint(ckpt, &m, &err)) << err;
-    cut = m.instances[0].packets_applied;
+    cut = m.manifest.instances[0].packets_applied;
   }
   feeder.join();
   ::close(listen_fd);
@@ -569,12 +570,12 @@ TEST(ServeCheckpointRace, EveryCheckpointLoadsAndRecoversWhileInstancesChurn) {
   for (int round = 0; (round < 15 || saw_scratch < 3) && round < 300 && !HasFailure(); ++round) {
     const std::string reply = core.Execute("CHECKPOINT");
     EXPECT_EQ(reply.rfind("OK checkpoint", 0), 0u) << reply;
-    CheckpointManifest m;
+    LoadedCheckpoint m;
     std::string err;
     EXPECT_TRUE(LoadCheckpoint(ckpt, &m, &err)) << err;
-    EXPECT_GE(m.instances.size(), 1u);
-    EXPECT_LE(m.instances.size(), 2u);
-    for (const CheckpointInstance& inst : m.instances) {
+    EXPECT_GE(m.manifest.instances.size(), 1u);
+    EXPECT_LE(m.manifest.instances.size(), 2u);
+    for (const CheckpointInstance& inst : m.manifest.instances) {
       EXPECT_TRUE(inst.name == "live" || inst.name == "scratch") << inst.name;
       EXPECT_LE(inst.packets_applied, fx.trace.packets.size()) << inst.name;
       saw_scratch += inst.name == "scratch" ? 1 : 0;
@@ -582,8 +583,8 @@ TEST(ServeCheckpointRace, EveryCheckpointLoadsAndRecoversWhileInstancesChurn) {
     ServeCore revived(OptionsWithCheckpoint(ckpt));
     size_t recovered = 0;
     EXPECT_TRUE(revived.Recover(&recovered, &err)) << err;
-    EXPECT_EQ(recovered, m.instances.size());
-    for (const CheckpointInstance& inst : m.instances) {
+    EXPECT_EQ(recovered, m.manifest.instances.size());
+    for (const CheckpointInstance& inst : m.manifest.instances) {
       EXPECT_GE(revived.PacketsApplied(inst.name), inst.packets_applied) << inst.name;
     }
   }

@@ -71,6 +71,27 @@ grep -q "^FLOW " "$WORK/topk_before.txt"
 query "CHECKPOINT" | grep -q "^OK checkpoint "
 [ -f "$CKPT" ] || { echo "checkpoint file not written"; exit 1; }
 
+echo "== one write of 100 POINTs, TOPK 10 and QUIT: 101 replies in order, then OK bye =="
+# The daemon answers a pipelined burst with one send; the replies must be
+# the ones the same requests get one at a time, in request order.
+IDS=($(sed -n 's/^FLOW \([0-9a-f]*\) .*/\1/p' "$WORK/topk_before.txt"))
+[ "${#IDS[@]}" -gt 0 ] || { echo "no flow ids in the TOPK answer"; exit 1; }
+REQUESTS=()
+for i in $(seq 0 99); do
+  REQUESTS+=("POINT campus ${IDS[$((i % ${#IDS[@]}))]}")
+done
+REQUESTS+=("TOPK campus 10")
+query "${REQUESTS[@]}" > "$WORK/pipelined_want.txt"
+echo "OK bye" >> "$WORK/pipelined_want.txt"
+exec 3<>"/dev/tcp/127.0.0.1/$PORT"
+printf '%s\n' "${REQUESTS[@]}" QUIT >&3
+timeout 10 cat <&3 > "$WORK/pipelined_got.txt" || true
+exec 3<&- 3>&-
+REPLIES="$(grep -c -e '^OK ' -e '^END ' "$WORK/pipelined_got.txt" || true)"
+[ "$REPLIES" -eq 102 ] || { echo "expected 101 replies and OK bye, got $REPLIES"; exit 1; }
+diff "$WORK/pipelined_want.txt" "$WORK/pipelined_got.txt" || {
+  echo "pipelined replies differ from one-at-a-time replies"; exit 1; }
+
 echo "== a request line past the 64 KiB limit is refused, the daemon keeps serving =="
 # 65537 bytes with no newline: the daemon answers ERR and hangs up instead
 # of buffering the flood. The timeout turns a daemon that keeps reading

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -104,6 +105,34 @@ TEST(ShardMergeTest, SumByIdCombinesOverlappingLists) {
   }
   EXPECT_EQ(sevens, 2u);
   EXPECT_EQ(MergeTopK({}, 10, MergeMode::kSumById), std::vector<FlowCount>{});
+}
+
+// ShardedTopK merges its shards' reports, each already in rank order,
+// without a sort: its answer must equal the shards' reports concatenated
+// and sorted by (count desc, id asc), k below, at and above the tracked
+// count. SS inners count exactly, so the Zipf tail ties in count often.
+TEST(ShardMergeTest, ShardedMergeEqualsConcatenateAndSort) {
+  const auto packets = ZipfPackets(20'000, 5);
+  for (const size_t n : {size_t{1}, size_t{2}, size_t{8}}) {
+    ShardedTopKOptions options;
+    options.num_shards = n;
+    options.inner_spec = "SS:mem=16kb";
+    ShardedTopK algo(options, TestDefaults());
+    algo.InsertBatch(packets);
+    for (const size_t k : {size_t{1}, size_t{37}, size_t{100}, size_t{100'000}}) {
+      std::vector<FlowCount> all;
+      for (size_t s = 0; s < n; ++s) {
+        const std::vector<FlowCount> report = algo.shard(s).TopK(k);
+        all.insert(all.end(), report.begin(), report.end());
+      }
+      std::sort(all.begin(), all.end(), [](const FlowCount& a, const FlowCount& b) {
+        return a.count != b.count ? a.count > b.count : a.id < b.id;
+      });
+      all.resize(std::min(k, all.size()));
+      EXPECT_EQ(algo.TopK(k), all) << "n = " << n << ", k = " << k;
+      EXPECT_EQ(algo.Snapshot({.k = k}).flows, all) << "n = " << n << ", k = " << k;
+    }
+  }
 }
 
 // End-to-end network-wide scenario (examples/network_collector.cpp):
@@ -516,6 +545,51 @@ TEST(ShardedRelaxedReadTest, RelaxedSnapshotDoesNotWaitForTheDrain) {
   const QueryResult exact = algo.Snapshot({.k = 50});
   EXPECT_EQ(exact.consistency, ConsistencyLevel::kExact);
   EXPECT_EQ(TotalCount(exact.flows), packets.size());
+}
+
+TEST(ShardedRelaxedReadTest, BackToBackRelaxedReadersDoNotStallTheDrain) {
+  // Two threads read relaxed back to back, and each read holds the shard's
+  // lock for 1 ms, so one of them nearly always waits for it. The worker
+  // lets only the readers waiting when it pops a burst go first, so the
+  // drain must still finish while they read; a 64-packet ring blocks the
+  // producer until it does.
+  ShardedTopKOptions options;
+  options.threaded = true;
+  options.ring_capacity = 64;
+  options.drain_burst = 16;
+  std::vector<std::unique_ptr<TopKAlgorithm>> inners;
+  inners.push_back(std::make_unique<SlowBatchAlgorithm>(MakeSketch("SS", TestDefaults()),
+                                                        std::chrono::milliseconds(0),
+                                                        std::chrono::milliseconds(1)));
+  ShardedTopK algo(options, std::move(inners));
+  std::vector<FlowId> packets;
+  for (FlowId i = 0; i < 1'280; ++i) {
+    packets.push_back(1 + i % 8);
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> reads{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_acquire)) {
+        algo.Snapshot({.k = 8, .consistency = ConsistencyLevel::kRelaxed});
+        reads.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  auto ingest = std::async(std::launch::async, [&] {
+    algo.InsertBatch(packets);
+    algo.Flush();
+  });
+  const bool drained = ingest.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  stop.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) {
+    reader.join();
+  }
+  ingest.wait();
+  EXPECT_TRUE(drained) << "80 bursts not applied in 10 s beside " << reads.load()
+                       << " relaxed reads";
+  EXPECT_EQ(TotalCount(algo.Snapshot({.k = 8}).flows), packets.size());
 }
 
 TEST(ShardedRelaxedReadTest, RelaxedReadsDuringInsertsAreWellFormed) {
