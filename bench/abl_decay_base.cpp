@@ -18,7 +18,7 @@ int main() {
   ResultTable table("b", {"precision", "log10_ARE"});
   for (const double b : {1.02, 1.05, 1.08, 1.15, 1.3, 1.5, 2.0}) {
     constexpr size_t kK = 100;
-    const size_t store_bytes = kK * HeapTopKStore::BytesPerEntry(13);
+    const size_t store_bytes = kK * LazyTopKStore::BytesPerEntry(13);
     HeavyKeeperConfig config = HeavyKeeperConfig::FromMemory(8 * 1024 - store_bytes, 2, 1);
     config.b = b;
     HeavyKeeperTopK<> algo(HkVersion::kParallel, config, kK, 13);

@@ -27,7 +27,7 @@ int main() {
     std::vector<double> row;
     for (const auto& [function, base] : functions) {
       constexpr size_t kK = 100;
-      const size_t store_bytes = kK * HeapTopKStore::BytesPerEntry(13);
+      const size_t store_bytes = kK * LazyTopKStore::BytesPerEntry(13);
       HeavyKeeperConfig config =
           HeavyKeeperConfig::FromMemory(kb * 1024 - store_bytes, 2, 1);
       config.decay_function = function;

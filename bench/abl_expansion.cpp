@@ -22,7 +22,7 @@ int main() {
 
   constexpr size_t kK = 100;
   constexpr size_t kBudget = 4 * 1024;
-  const size_t store_bytes = kK * HeapTopKStore::BytesPerEntry(13);
+  const size_t store_bytes = kK * LazyTopKStore::BytesPerEntry(13);
 
   std::printf("%-20s%16s%16s%16s%16s\n", "threshold", "precision", "arrays", "stuck_events",
               "final_KB");

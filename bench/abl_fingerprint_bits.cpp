@@ -22,7 +22,7 @@ int main() {
   ResultTable table("fp_bits", {"precision", "log10_ARE"});
   for (const uint32_t bits : {4u, 6u, 8u, 12u, 16u, 24u}) {
     constexpr size_t kK = 500;
-    const size_t store_bytes = kK * HeapTopKStore::BytesPerEntry(13);
+    const size_t store_bytes = kK * LazyTopKStore::BytesPerEntry(13);
     HeavyKeeperConfig config;
     config.fingerprint_bits = bits;
     config.d = 2;

@@ -17,7 +17,7 @@
 #include "common/datasets.h"
 #include "common/harness.h"
 #include "core/heavykeeper.h"
-#include "summary/topk_store.h"
+#include "summary/min_heap.h"
 
 namespace {
 
@@ -26,10 +26,10 @@ using namespace hk;
 AccuracyReport RunVariant(const hk::bench::Dataset& ds, bool opt1, bool opt2,
                           size_t memory_bytes, size_t k) {
   const size_t key_bytes = KeyBytes(ds.trace.key_kind);
-  const size_t store_bytes = k * HeapTopKStore::BytesPerEntry(key_bytes);
+  const size_t store_bytes = k * IndexedMinHeap::BytesPerEntry(key_bytes);
   const size_t sketch_bytes = memory_bytes > store_bytes ? memory_bytes - store_bytes : 512;
   HeavyKeeper sketch(HeavyKeeperConfig::FromMemory(sketch_bytes, 2, 1));
-  HeapTopKStore store(k);
+  IndexedMinHeap store(k);
   for (const FlowId id : ds.trace.packets) {
     const bool monitored = store.Contains(id);
     // Without OptII the gate is disabled (monitored behaviour for all).

@@ -49,8 +49,8 @@ HeavyKeeper::HeavyKeeper(const HeavyKeeperConfig& config)
   telemetry::Registry& registry = telemetry::Registry::Get();
   tm_decay_attempts_ = registry.GetCounter(
       "hk_core_decay_attempts_total",
-      "Per-unit decay coin flips (Case 3 / Situation 3; collapsed weighted decay and "
-      "in-kernel SIMD coins are not counted)");
+      "Per-unit decay coin flips (Case 3 / Situation 3; collapsed weighted decay is not "
+      "counted)");
   tm_decay_success_ = registry.GetCounter("hk_core_decay_success_total",
                                           "Decay coins that came up heads (counter "
                                           "decremented or bucket claimed)");
@@ -360,27 +360,32 @@ uint32_t HeavyKeeper::InsertMinimumPrepared(const Prepared& p, bool monitored,
 }
 
 // One-shot vector Minimum insert: the kernel resolves Algorithm 2's three
-// situations in one gather + compare + horizontal min AND applies the
-// scalar-identical transition in the same call (simd::ApplyMinimumProbe) -
-// one kernel entry per packet instead of probe-out/epilogue-in. The decay
-// coin is drawn inside the kernel but stays scalar and in packet order, so
-// the RNG stream matches the scalar path exactly; only NoteStuck() (which
-// may restructure the sketch) is applied here.
+// situations in one 4-lane compare + horizontal min and applies the
+// scalar-identical transition in the same call. The decay coin is drawn
+// inside the kernel but stays scalar and in packet order, so the RNG
+// stream matches the scalar path exactly; the kernel reports the coin and
+// the stuck verdict, which are counted (and NoteStuck() run, which may
+// restructure the sketch) here, exactly as InsertMinimumImpl does.
 uint32_t HeavyKeeper::InsertMinimumProbed(const Prepared& p, bool monitored, uint64_t nmin) {
-  const uint32_t cb = counter_bits_eff_;
+  const uint32_t fpw = p.fp << counter_bits_eff_;
+  const uint32_t cmask = CounterMask<uint32_t>(counter_bits_eff_);
   const uint32_t gate =
       monitored ? ~0u : static_cast<uint32_t>(std::min<uint64_t>(nmin, ~0u));
-  uint32_t estimate = 0;
-  bool stuck = false;
-  if (!simd::InsertMinimumVec(kernel_, Words<uint32_t>(), p.idx, p.n, p.fp << cb,
-                              CounterMask<uint32_t>(cb), gate, counter_max_, *decay_, rng_,
-                              &estimate, &stuck)) {
+  simd::MinimumOutcome out;
+  if (!simd::InsertMinimumVec(kernel_, Words<uint32_t>(), p.idx, fpw, cmask, gate, counter_max_,
+                              *decay_, rng_, &out)) {
     return InsertMinimumImpl<uint32_t>(p, monitored, nmin);
   }
-  if (stuck) {
+  if (out.coin) {
+    tm_decay_attempts_->Add();
+    if (out.heads) {
+      tm_decay_success_->Add();
+    }
+  }
+  if (out.stuck) {
     NoteStuck();
   }
-  return estimate;
+  return out.estimate;
 }
 
 template <typename W>
@@ -618,10 +623,10 @@ uint32_t HeavyKeeper::QueryImpl(const Prepared& p) const {
 
 uint32_t HeavyKeeper::QueryPrepared(const Prepared& p) const {
   if (ProbeEligible(p)) {
-    const uint32_t cb = counter_bits_eff_;
+    const uint32_t fpw = p.fp << counter_bits_eff_;
+    const uint32_t cmask = CounterMask<uint32_t>(counter_bits_eff_);
     uint32_t best = 0;
-    if (simd::ProbeQuery(kernel_, Words<uint32_t>(), p.idx, p.n,
-                         p.fp << cb, CounterMask<uint32_t>(cb), &best)) {
+    if (simd::ProbeQuery(kernel_, Words<uint32_t>(), p.idx, fpw, cmask, &best)) {
       return best;
     }
   }

@@ -168,11 +168,11 @@ class HeavyKeeper {
   void PrepareBatch(const FlowId* ids, size_t n, Prepared* out) const;
 
   // Batched point query: out[i] = Query(ids[i]), with batch addressing and
-  // the gather-compare probe. Feeds TopKAlgorithm::EstimateSizeBatch (the
+  // the vector probe. Feeds TopKAlgorithm::EstimateSizeBatch (the
   // WindowedTopK merge-and-rescore path).
   void QueryBatch(const FlowId* ids, size_t n, uint64_t* out) const;
 
-  // The kernel construction resolved (SnapshotStats exposure).
+  // The kernel construction resolved (ActiveSimdKernel exposure).
   SimdKernel kernel() const { return kernel_; }
 
   // Re-resolve the kernel (used by LoadState to keep an instance's
@@ -257,9 +257,6 @@ class HeavyKeeper {
   uint64_t stuck_events() const { return stuck_events_; }
   uint64_t expansions() const { return expansions_; }
 
-  // Deterministic decay stream: reseed to reproduce an experiment.
-  void ReseedDecay(uint64_t seed) { rng_.Seed(seed); }
-
   struct Bucket {
     uint32_t fp = 0;
     uint32_t c = 0;
@@ -315,19 +312,19 @@ class HeavyKeeper {
   template <typename W>
   uint32_t QueryImpl(const Prepared& p) const;
 
-  // Narrow-word epilogues over a vector probe (core/heavykeeper.cpp); the
-  // probe classifies the d mapped words in one gather+compare, the
-  // epilogue applies the scalar-identical transition (coins drawn here,
-  // never in the kernel).
+  // The vector Minimum insert (simd::InsertMinimumVec: probe, transition
+  // and the decay coin from rng_ in one call), counted as the scalar scan
+  // counts; and the point query through the vector probe when eligible.
   uint32_t InsertMinimumProbed(const Prepared& p, bool monitored, uint64_t nmin);
   uint32_t QueryPrepared(const Prepared& p) const;
 
   bool wide() const { return word_bytes_ == 8; }
 
-  // True when the resolved kernel can probe this handle (narrow words,
-  // d >= 4 - below that a gather cannot pay for itself).
+  // True when the resolved kernel can probe this handle: exactly 4 mapped
+  // narrow words. Below d = 4 a probe cannot pay for itself; d = 5..8 and
+  // expanded sketches, which no workload runs, scan scalar.
   bool ProbeEligible(const Prepared& p) const {
-    return kernel_ != SimdKernel::kScalar && word_bytes_ == 4 && p.n >= 4;
+    return kernel_ != SimdKernel::kScalar && word_bytes_ == 4 && p.n == 4;
   }
 
   // Record a stuck event and expand with a fresh array if configured.

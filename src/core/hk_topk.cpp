@@ -12,9 +12,12 @@ namespace hk {
 namespace {
 
 std::unique_ptr<TopKAlgorithm> BuildHk(HkVersion version, const SketchArgs& args) {
-  const uint64_t d = args.GetUint("d", 2);
-  const uint64_t fp = args.GetUint("fp", 16);
-  const uint64_t cb = args.GetUint("cb", 16);
+  // An absent key keeps HeavyKeeperConfig's default (name() omits exactly
+  // those), so the defaults live in one place.
+  const HeavyKeeperConfig defaults;
+  const uint64_t d = args.GetUint("d", defaults.d);
+  const uint64_t fp = args.GetUint("fp", defaults.fingerprint_bits);
+  const uint64_t cb = args.GetUint("cb", defaults.counter_bits);
   if (d < 1 || d > HeavyKeeper::kMaxPreparedArrays) {
     throw std::invalid_argument("sketch spec: d= must be 1.." +
                                 std::to_string(HeavyKeeper::kMaxPreparedArrays));
@@ -26,7 +29,7 @@ std::unique_ptr<TopKAlgorithm> BuildHk(HkVersion version, const SketchArgs& args
     throw std::invalid_argument("sketch spec: cb= must be 1..64");
   }
   // Decay probability b^-C needs b > 1, and Theorem 5's bound divides by b - 1.
-  const double b = args.GetDouble("b", 1.08);
+  const double b = args.GetDouble("b", defaults.b);
   if (!std::isfinite(b) || b <= 1.0) {
     throw std::invalid_argument("sketch spec: b= must be a finite number above 1");
   }
@@ -40,7 +43,7 @@ std::unique_ptr<TopKAlgorithm> BuildHk(HkVersion version, const SketchArgs& args
       .decay_base(b)
       .fingerprint_bits(static_cast<uint32_t>(fp))
       .counter_bits(static_cast<uint32_t>(cb))
-      .expansion(args.GetUint("expand", 0));
+      .expansion(args.GetUint("expand", defaults.expansion_threshold));
   if (const auto it = args.params().find("decay"); it != args.params().end()) {
     DecayFunction f;
     if (!ParseDecayFunction(it->second, &f)) {

@@ -1,7 +1,6 @@
 // HeavyKeeper top-k pipelines (Sections III-C, III-E and IV-C).
 //
 // A pipeline couples a HeavyKeeper sketch with a k-entry candidate store
-// (min-heap by default; Stream-Summary as in the authors' implementation)
 // and realizes the full per-packet insertion algorithms:
 //
 //   Basic    - insert into the sketch, then admit if n-hat exceeds the
@@ -18,18 +17,16 @@
 // applying it (software pipelining - the ladder's L3 rows in
 // bench/ladder.cpp measure the win).
 //
-// The store backend is a template parameter so the `abl_topk_store`
-// ablation can swap backends without touching the logic. The default is
-// the lazy-threshold store (summary/lazy_topk.h): the monitored fast path
-// is one hash lookup plus a compare-only count raise, and the min-heap is
-// re-synced only when the threshold nmin itself may have moved - with
-// reports identical to the eager min-heap's up to eviction tie-breaks at
-// the minimum count.
+// The candidate store is the lazy-threshold store (summary/lazy_topk.h),
+// the O(1)-update role the paper gives Stream-Summary: the monitored fast
+// path is one hash lookup plus a compare-only count raise, and the
+// min-heap is re-synced only when the threshold nmin itself may have moved
+// - with reports identical to the eager min-heap's up to eviction
+// tie-breaks at the minimum count.
 #ifndef HK_CORE_HK_TOPK_H_
 #define HK_CORE_HK_TOPK_H_
 
 #include <algorithm>
-#include <concepts>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -43,7 +40,7 @@
 #include "core/heavykeeper.h"
 #include "core/serialization.h"
 #include "sketch/topk_algorithm.h"
-#include "summary/topk_store.h"
+#include "summary/lazy_topk.h"
 
 namespace hk {
 
@@ -55,16 +52,10 @@ enum class HkVersion {
 
 const char* HkVersionName(HkVersion v);
 
-// Stores exposing the Find/Raise slot API (LazyTopKStore) get the
-// compare-only monitored fast path; duck-typed stores fall back to
-// Contains + RaiseCount.
-template <typename S>
-concept HasFindSlot = requires(S s, FlowId id, uint64_t* slot) {
-  { s.Find(id) } -> std::same_as<uint64_t*>;
-  s.Raise(id, slot, uint64_t{});
-};
-
-template <typename Store = LazyTopKStore>
+// The template parameter is unused. It stays, defaulted, only because
+// callers spell the type HeavyKeeperTopK<> (e2ebench/hkbench.cpp among
+// them); there is one candidate store, LazyTopKStore.
+template <typename = void>
 class HeavyKeeperTopK : public TopKAlgorithm {
  public:
   // `key_bytes` is the width of the original flow ID; the candidate store is
@@ -100,47 +91,38 @@ class HeavyKeeperTopK : public TopKAlgorithm {
     Builder& memory_bytes(size_t bytes) { memory_bytes_ = bytes; return *this; }
     Builder& k(size_t k) { k_ = k; return *this; }
     Builder& key_kind(KeyKind kind) { key_kind_ = kind; return *this; }
-    Builder& seed(uint64_t seed) { seed_ = seed; return *this; }
-    Builder& d(size_t d) { d_ = d; return *this; }
-    Builder& decay_base(double b) { b_ = b; return *this; }
-    Builder& decay_function(DecayFunction f) { decay_function_ = f; return *this; }
-    Builder& fingerprint_bits(uint32_t bits) { fingerprint_bits_ = bits; return *this; }
-    Builder& counter_bits(uint32_t bits) { counter_bits_ = bits; return *this; }
-    Builder& expansion(uint64_t threshold, size_t max_arrays = 8) {
-      expansion_threshold_ = threshold;
-      max_arrays_ = max_arrays;
+    Builder& seed(uint64_t seed) { config_.seed = seed; return *this; }
+    Builder& d(size_t d) { config_.d = d; return *this; }
+    Builder& decay_base(double b) { config_.b = b; return *this; }
+    Builder& decay_function(DecayFunction f) { config_.decay_function = f; return *this; }
+    Builder& fingerprint_bits(uint32_t bits) { config_.fingerprint_bits = bits; return *this; }
+    Builder& counter_bits(uint32_t bits) { config_.counter_bits = bits; return *this; }
+    // Section III-F expansion after `threshold` stuck events (0 = off).
+    Builder& expansion(uint64_t threshold) {
+      config_.expansion_threshold = threshold;
       return *this;
     }
     // Opt into the O(counter) geometric weighted-decay collapse for
     // unmonitored flows (HeavyKeeperConfig::collapsed_weighted_decay).
     Builder& collapsed_weighted_decay(bool on) {
-      collapsed_weighted_decay_ = on;
+      config_.collapsed_weighted_decay = on;
       return *this;
     }
     // Hot-path kernel selection (HeavyKeeperConfig::simd).
     Builder& simd(SimdMode mode) {
-      simd_ = mode;
+      config_.simd = mode;
       return *this;
     }
 
     std::unique_ptr<HeavyKeeperTopK> Build() const {
       const size_t key_bytes = KeyBytes(key_kind_);
-      const size_t store_bytes = k_ * Store::BytesPerEntry(key_bytes);
+      const size_t store_bytes = k_ * LazyTopKStore::BytesPerEntry(key_bytes);
       const size_t sketch_bytes = memory_bytes_ > store_bytes ? memory_bytes_ - store_bytes : 0;
-      HeavyKeeperConfig config;
+      HeavyKeeperConfig config = config_;
       // Clamp to the sketch's supported range *before* deriving w, so the
       // budget is spent on the arrays that will actually exist (the
       // HeavyKeeper constructor clamps d the same way).
-      config.d = std::min(std::max<size_t>(d_, 1), HeavyKeeper::kMaxPreparedArrays);
-      config.b = b_;
-      config.decay_function = decay_function_;
-      config.fingerprint_bits = fingerprint_bits_;
-      config.counter_bits = counter_bits_;
-      config.seed = seed_;
-      config.collapsed_weighted_decay = collapsed_weighted_decay_;
-      config.expansion_threshold = expansion_threshold_;
-      config.max_arrays = max_arrays_;
-      config.simd = simd_;
+      config.d = std::min(std::max<size_t>(config.d, 1), HeavyKeeper::kMaxPreparedArrays);
       // Derive w from the budget under the *configured* bucket layout, and
       // refuse (before anything is allocated) a budget past the width cap.
       config.w = std::max<size_t>(sketch_bytes / (config.BucketBytes() * config.d), 1);
@@ -157,16 +139,9 @@ class HeavyKeeperTopK : public TopKAlgorithm {
     size_t memory_bytes_ = 50 * 1024;
     size_t k_ = 100;
     KeyKind key_kind_ = KeyKind::kSynthetic4B;
-    uint64_t seed_ = 1;
-    size_t d_ = 2;
-    double b_ = 1.08;
-    DecayFunction decay_function_ = DecayFunction::kExponential;
-    uint32_t fingerprint_bits_ = 16;
-    uint32_t counter_bits_ = 16;
-    bool collapsed_weighted_decay_ = false;
-    uint64_t expansion_threshold_ = 0;
-    size_t max_arrays_ = 8;
-    SimdMode simd_ = SimdMode::kAuto;
+    // Every sketch parameter, at HeavyKeeperConfig's defaults; Build()
+    // derives w from the budget.
+    HeavyKeeperConfig config_;
   };
 
   void Insert(FlowId id) override {
@@ -267,51 +242,53 @@ class HeavyKeeperTopK : public TopKAlgorithm {
 
   const char* ActiveSimdKernel() const override { return SimdKernelName(sketch_.kernel()); }
 
-  // Canonical registry spec: base name plus any non-default sketch
-  // parameters, so MakeSketch(name()) rebuilds an equivalent pipeline.
+  // Canonical registry spec: base name plus any sketch parameter that
+  // differs from HeavyKeeperConfig's default, so MakeSketch(name())
+  // rebuilds an equivalent pipeline.
   std::string name() const override {
     std::string spec = std::string("HeavyKeeper-") + HkVersionName(version_);
     const HeavyKeeperConfig& c = sketch_.config();
+    const HeavyKeeperConfig defaults;
     char buf[32];
     auto append = [&spec](const std::string& kv) {
       spec += spec.find(':') == std::string::npos ? ':' : ',';
       spec += kv;
     };
-    if (c.d != 2) {
+    if (c.d != defaults.d) {
       std::snprintf(buf, sizeof(buf), "d=%zu", c.d);
       append(buf);
     }
-    if (c.b != 1.08) {
+    if (c.b != defaults.b) {
       std::snprintf(buf, sizeof(buf), "b=%g", c.b);
       append(buf);
     }
-    if (c.fingerprint_bits != 16) {
+    if (c.fingerprint_bits != defaults.fingerprint_bits) {
       std::snprintf(buf, sizeof(buf), "fp=%u", c.fingerprint_bits);
       append(buf);
     }
-    if (c.counter_bits != 16) {
+    if (c.counter_bits != defaults.counter_bits) {
       std::snprintf(buf, sizeof(buf), "cb=%u", c.counter_bits);
       append(buf);
     }
-    if (c.decay_function != DecayFunction::kExponential) {
+    if (c.decay_function != defaults.decay_function) {
       append(std::string("decay=") + DecayFunctionToken(c.decay_function));
     }
     if (c.collapsed_weighted_decay) {
       append("wdecay=collapsed");
     }
-    if (c.expansion_threshold != 0) {
+    if (c.expansion_threshold != defaults.expansion_threshold) {
       std::snprintf(buf, sizeof(buf), "expand=%llu",
                     static_cast<unsigned long long>(c.expansion_threshold));
       append(buf);
     }
-    if (c.simd != SimdMode::kAuto) {
+    if (c.simd != defaults.simd) {
       append(std::string("simd=") + SimdModeToken(c.simd));
     }
     return spec;
   }
 
   size_t MemoryBytes() const override {
-    return sketch_.MemoryBytes() + k_ * Store::BytesPerEntry(key_bytes_);
+    return sketch_.MemoryBytes() + k_ * LazyTopKStore::BytesPerEntry(key_bytes_);
   }
 
   // Checkpoint blob: the magic-guarded sketch snapshot (serialization v2)
@@ -356,7 +333,7 @@ class HeavyKeeperTopK : public TopKAlgorithm {
     if (!reader.Read(&n) || n > k_) {
       return false;
     }
-    Store store(k_);
+    LazyTopKStore store(k_);
     for (uint64_t i = 0; i < n; ++i) {
       FlowId id = 0;
       uint64_t count = 0;
@@ -380,38 +357,26 @@ class HeavyKeeperTopK : public TopKAlgorithm {
   HkVersion version() const { return version_; }
   const HeavyKeeper& sketch() const { return sketch_; }
   HeavyKeeper& sketch() { return sketch_; }
-  const Store& store() const { return store_; }
+  const LazyTopKStore& store() const { return store_; }
 
  private:
   static constexpr size_t kBatchChunk = 32;
   static constexpr size_t kPrefetchAhead = 16;
 
   // One store lookup per packet: Find() yields the monitored bit and the
-  // raise slot together on stores that support it (the lazy default); the
-  // raise is then a compare-and-store, no heap maintenance. Duck-typed
-  // stores answer Contains() and return no slot. The slot stays valid only
-  // while the store is unmutated (FlowSlotMap relocation rules) - both
-  // insert paths below raise through it before any store change.
-  uint64_t* FindTracked(FlowId id, bool* monitored) {
-    if constexpr (HasFindSlot<Store>) {
-      uint64_t* tracked = store_.Find(id);
-      *monitored = tracked != nullptr;
-      return tracked;
-    } else {
-      *monitored = store_.Contains(id);
-      return nullptr;
-    }
-  }
-
+  // raise slot together; the raise is then a compare-and-store, no heap
+  // maintenance. The slot stays valid only while the store is unmutated
+  // (FlowSlotMap relocation rules) - both insert paths below raise through
+  // it before any store change.
   void InsertPrepared(const HeavyKeeper::Prepared& p) {
-    bool monitored;
-    uint64_t* tracked = FindTracked(p.id, &monitored);
+    uint64_t* tracked = store_.Find(p.id);
+    const bool monitored = tracked != nullptr;
     uint64_t estimate = 0;
     switch (version_) {
       case HkVersion::kBasic: {
         estimate = sketch_.InsertBasicPrepared(p);
         if (monitored) {
-          RaiseTracked(p.id, tracked, estimate);
+          store_.Raise(p.id, tracked, estimate);
         } else if (!store_.Full()) {
           if (estimate > 0) {
             store_.Insert(p.id, estimate);
@@ -431,7 +396,7 @@ class HeavyKeeperTopK : public TopKAlgorithm {
                        ? sketch_.InsertParallelPrepared(p, monitored, nmin)
                        : sketch_.InsertMinimumPrepared(p, monitored, nmin);
         if (monitored) {
-          RaiseTracked(p.id, tracked, estimate);  // Algorithm 1 line 22 (max-update)
+          store_.Raise(p.id, tracked, estimate);  // Algorithm 1 line 22 (max-update)
         } else if (!store_.Full()) {
           store_.Insert(p.id, estimate);  // Algorithm 1 line 24, first clause
         } else if (estimate == store_.MinCount() + 1) {
@@ -444,19 +409,8 @@ class HeavyKeeperTopK : public TopKAlgorithm {
     }
   }
 
-  void RaiseTracked(FlowId id, uint64_t* tracked, uint64_t estimate) {
-    if constexpr (HasFindSlot<Store>) {
-      store_.Raise(id, tracked, estimate);
-    } else {
-      (void)tracked;
-      store_.RaiseCount(id, estimate);
-    }
-  }
-
   void InsertWeightedPrepared(const HeavyKeeper::Prepared& p, uint64_t weight) {
-    bool monitored;
-    uint64_t* tracked = FindTracked(p.id, &monitored);
-    if (monitored) {
+    if (uint64_t* tracked = store_.Find(p.id)) {
       // Monitored flow: the Optimization II gate is open, so when no decay
       // coin is reachable the whole weight collapses into O(d) updates -
       // identical to `weight` unit insertions (see the v2 contract). The
@@ -465,7 +419,7 @@ class HeavyKeeperTopK : public TopKAlgorithm {
                                     ? sketch_.TryMinimumWeightedMonitored(p, weight)
                                     : sketch_.TryParallelWeightedMonitored(p, weight);
       if (estimate > 0) {
-        RaiseTracked(p.id, tracked, estimate);
+        store_.Raise(p.id, tracked, estimate);
         return;
       }
     } else if (version_ == HkVersion::kMinimum && store_.Full() &&
@@ -503,7 +457,7 @@ class HeavyKeeperTopK : public TopKAlgorithm {
   size_t k_;
   size_t key_bytes_;
   HeavyKeeper sketch_;
-  Store store_;
+  LazyTopKStore store_;
   telemetry::Counter* tm_packets_;  // bumped once per batch, never per packet
 };
 

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "core/heavykeeper.h"
@@ -25,16 +24,13 @@ std::vector<uint8_t> SerializeSketch(const HeavyKeeper& sketch);
 // copy. Checkpoints use this to write a sketch straight into their blob.
 void AppendSerializedSketch(const HeavyKeeper& sketch, std::vector<uint8_t>* out);
 
-// Rebuild a sketch from a snapshot. Returns nullopt on a malformed buffer.
+// Rebuild a sketch from a v2 snapshot. Returns nullopt on a malformed
+// buffer or any other format version.
 std::optional<HeavyKeeper> DeserializeSketch(const uint8_t* data, size_t size);
 
 inline std::optional<HeavyKeeper> DeserializeSketch(const std::vector<uint8_t>& buffer) {
   return DeserializeSketch(buffer.data(), buffer.size());
 }
-
-// File convenience wrappers.
-bool SaveSketch(const HeavyKeeper& sketch, const std::string& path);
-std::optional<HeavyKeeper> LoadSketch(const std::string& path);
 
 }  // namespace hk
 

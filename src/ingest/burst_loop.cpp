@@ -79,14 +79,14 @@ void RunBurstLoop(PcapReader& reader, const TopKAlgorithm& target, const BurstLo
     return options.stop != nullptr && options.stop->load(std::memory_order_acquire);
   };
   Filler filler(reader, options);
-  // Apply one filled slot. False once the stream is over: after an empty
-  // burst, or after a short one (NextBatch returns short only at the end).
+  // Apply one filled slot. False once the stream is over: an empty burst.
+  // A short one is not the end: a live source returns what has arrived.
   const auto deliver = [&](const BurstSlot& slot) {
     if (slot.count == 0 || stopped()) {
       return false;
     }
     apply({std::span<const PacketRecord>(slot.records.data(), slot.count), slot.malformed});
-    return slot.count == batch;
+    return true;
   };
 
   if (ParsesAhead(target)) {
@@ -111,7 +111,7 @@ void RunBurstLoop(PcapReader& reader, const TopKAlgorithm& target, const BurstLo
               slot.count = 0;
             }
           }
-          const bool more = slot.count == batch;
+          const bool more = slot.count > 0;
           if (filled.Push(std::span<const uint32_t>(&next, 1)) == 0 || !more) {
             return;
           }
@@ -126,8 +126,8 @@ void RunBurstLoop(PcapReader& reader, const TopKAlgorithm& target, const BurstLo
         filled.Close();
         parser.join();
       };
-      // The parser always ends with a short or empty slot unless the ring
-      // was closed, so Pop cannot wait forever on a live parser.
+      // The parser always ends with an empty slot unless the ring was
+      // closed, so Pop cannot wait forever on a live parser.
       uint32_t index = 0;
       try {
         while (filled.Pop(std::span<uint32_t>(&index, 1)) > 0 && deliver(slots[index])) {

@@ -17,10 +17,12 @@
 //     about 5% of ingest rate. The calling thread parses each burst itself.
 //
 // Both run the same fill code and the same apply code, so the bursts are
-// the same either way: every burst holds `batch` records except the last,
-// and the `skip` prefix (a recovery offset) is parsed and dropped first,
-// its last burst short so that the first applied burst starts right after
-// it.
+// the same either way: every burst holds `batch` records except the last -
+// or, from a live source (a pipe or socket), except a burst that ends where
+// the source had nothing more ready (PcapReader::NextBatch hands over what
+// has arrived) - and the `skip` prefix (a recovery offset) is parsed and
+// dropped first, its last burst short so that the first applied burst
+// starts right after it.
 //
 // Waits block. The slot hand-off is an SpscRing, whose Pop parks the
 // applying thread on an empty ring and whose Push parks the parser on a
@@ -29,12 +31,12 @@
 // applier in the ring's wait. On its way out the applier closes the ring,
 // so a parser waiting for room exits and is joined.
 //
-// The loop ends at end of stream, at a malformed-container stop, or once
-// *stop is set (checked between bursts, on both threads). The parse thread
-// is joined before RunBurstLoop returns or unwinds, so reader.error() and
-// reader.stats() are the caller's again afterwards. While the loop runs
-// no reader state is shared: each burst carries the malformed-frame count
-// that parsing it added.
+// The loop ends on an empty burst (end of stream or a malformed-container
+// stop) or once *stop is set (checked between bursts, on both threads).
+// The parse thread is joined before RunBurstLoop returns or unwinds, so
+// reader.error() and reader.stats() are the caller's again afterwards.
+// While the loop runs no reader state is shared: each burst carries the
+// malformed-frame count that parsing it added.
 #ifndef HK_INGEST_BURST_LOOP_H_
 #define HK_INGEST_BURST_LOOP_H_
 

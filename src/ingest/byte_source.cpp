@@ -1,6 +1,7 @@
 #include "ingest/byte_source.h"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -38,6 +39,13 @@ class FdByteSource final : public ByteSource {
       error_ = std::string("read: ") + std::strerror(errno);
       return 0;
     }
+  }
+
+  // A zero-timeout poll: readable, hung up or failed all mean Read() will
+  // not wait (regular files always poll readable).
+  bool Ready() const override {
+    pollfd p{fd_, POLLIN, 0};
+    return fd_ < 0 || ::poll(&p, 1, 0) != 0;
   }
 
   bool ok() const override { return error_.empty(); }

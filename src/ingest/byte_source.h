@@ -26,6 +26,11 @@ class ByteSource {
   // 0 only at end-of-stream or on error (never "try again").
   virtual size_t Read(uint8_t* out, size_t max_bytes) = 0;
 
+  // True when Read() would return without waiting: bytes are ready, or the
+  // stream has ended. Buffers (and regular files) are always ready; a pipe
+  // or socket whose writer has sent nothing more is not.
+  virtual bool Ready() const { return true; }
+
   virtual bool ok() const { return true; }
   virtual std::string error() const { return std::string(); }
 };

@@ -166,6 +166,10 @@ bool PcapReader::Refill(size_t need) {
     offset_ = 0;
   }
   while (data_.size() < need) {
+    if (hold_ && !source_->Ready()) {
+      stalled_ = true;  // NextBatch hands over what it holds instead of waiting
+      return false;
+    }
     const size_t old_size = data_.size();
     const size_t want = std::max(need - old_size, kStreamChunkBytes);
     data_.resize(old_size + want);
@@ -357,7 +361,12 @@ size_t PcapReader::NextBatch(std::span<PacketRecord> out) {
   size_t n = 0;
   while (n < out.size() && NextRecord(&out[n])) {
     ++n;
+    // A live source hands over what has arrived: once a record is held,
+    // a refill that would wait on the source ends the burst instead.
+    hold_ = streaming();
   }
+  hold_ = false;
+  stalled_ = false;
   DerivePacketIds(policy_, out.data(), n);
   return n;
 }
@@ -366,6 +375,9 @@ bool PcapReader::NextClassic(PacketRecord* out) {
   const Interface& iface = interfaces_.front();
   for (;;) {
     if (!Refill(kPcapRecordHeaderBytes)) {
+      if (stalled_) {
+        return false;
+      }
       if (Available() == 0) {
         return SourceEof();
       }
@@ -380,7 +392,7 @@ bool PcapReader::NextClassic(PacketRecord* out) {
       return Malformed("bogus caplen " + std::to_string(caplen));
     }
     if (!Refill(kPcapRecordHeaderBytes + caplen)) {
-      return Malformed("record caplen overruns the file");
+      return stalled_ ? false : Malformed("record caplen overruns the file");
     }
     const uint8_t* frame = data_.data() + offset_ + kPcapRecordHeaderBytes;
     offset_ += kPcapRecordHeaderBytes + caplen;
@@ -402,6 +414,9 @@ bool PcapReader::NextClassic(PacketRecord* out) {
 bool PcapReader::NextNg(PacketRecord* out) {
   for (;;) {
     if (!Refill(12)) {
+      if (stalled_) {
+        return false;
+      }
       if (Available() == 0) {
         return SourceEof();
       }
@@ -431,7 +446,7 @@ bool PcapReader::NextNg(PacketRecord* out) {
       return Malformed("pcapng block with bogus total length " + std::to_string(total_len));
     }
     if (!Refill(total_len)) {
-      return Malformed("pcapng block overruns the file");
+      return stalled_ ? false : Malformed("pcapng block overruns the file");
     }
     b = data_.data() + offset_;  // Refill may have moved the window
     if (Load32(b + total_len - 4) != total_len) {

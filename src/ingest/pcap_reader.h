@@ -119,6 +119,10 @@ class PcapReader {
   // end-of-stream or after a malformed-container stop). Records equal what
   // Next() would yield, ids included; the ids are hashed across the whole
   // burst, lane-parallel (the TraceReplayer burst loop reads this way).
+  // Streaming from a live source (a pipe or socket with nothing more
+  // ready), it returns the records it holds rather than wait for the rest
+  // of the burst; it waits only for the first. Buffers and regular files
+  // are always ready, so their bursts come back full except at the end.
   size_t NextBatch(std::span<PacketRecord> out);
 
   // Restart the packet stream (and stats) over the already-loaded capture.
@@ -154,7 +158,9 @@ class PcapReader {
   bool NextRecord(PacketRecord* out);
   // Ensure >= `need` unread bytes are buffered. Slurp mode: a pure
   // availability check. Streaming: compact the consumed prefix, then pull
-  // from the source until satisfied or end-of-stream.
+  // from the source until satisfied or end-of-stream - or, while hold_ is
+  // set, until the source has nothing ready (false with stalled_ set; the
+  // record is left unconsumed).
   bool Refill(size_t need);
   size_t Available() const { return data_.size() - offset_; }
   bool SourceEof();
@@ -176,6 +182,8 @@ class PcapReader {
   std::vector<uint8_t> data_;
   std::unique_ptr<ByteSource> source_;  // non-null = streaming mode
   bool source_eof_ = false;
+  bool hold_ = false;     // NextBatch holds records: Refill must not wait
+  bool stalled_ = false;  // a Refill under hold_ found the source not ready
   size_t offset_ = 0;       // next unread byte
   size_t body_start_ = 0;   // first record/block after the container header
   bool swapped_ = false;    // container endianness != host

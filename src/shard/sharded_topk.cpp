@@ -81,6 +81,10 @@ void ShardedTopK::InitShards(std::vector<std::unique_ptr<TopKAlgorithm>> inners)
     shard->memory_bytes.store(shard->algo->MemoryBytes(), std::memory_order_relaxed);
     if (options_.threaded) {
       shard->ring = std::make_unique<SpscRing<Packet>>(options_.ring_capacity);
+      const size_t burst = std::min(options_.drain_burst, shard->ring->capacity());
+      shard->burst.resize(burst);
+      shard->burst_ids.resize(burst);
+      shard->burst_weights.resize(burst);
     }
     shards_.push_back(std::move(shard));
   }
@@ -145,9 +149,9 @@ void ShardedTopK::PushRun(Shard& shard, std::span<const FlowId> ids, const uint6
 
 void ShardedTopK::WorkerLoop(size_t shard_index) {
   Shard& shard = *shards_[shard_index];
-  std::vector<Packet> packets(options_.drain_burst);
-  std::vector<FlowId> ids(options_.drain_burst);
-  std::vector<uint64_t> weights(options_.drain_burst);
+  const std::span<Packet> packets(shard.burst);
+  std::vector<FlowId>& ids = shard.burst_ids;
+  std::vector<uint64_t>& weights = shard.burst_weights;
   // Pop sleeps while the ring is empty and returns 0 once the destructor
   // has closed it and everything queued before has been taken.
   while (const size_t n = shard.ring->Pop(packets)) {
@@ -306,21 +310,16 @@ QueryResult ShardedTopK::Snapshot(const QueryOptions& options) {
   // Sum of the shards' reports, not the merged size: the union truncates
   // to k but each shard tracks its own candidates.
   size_t tracked = 0;
-  size_t memory = 0;
   for (const auto& shard : shards_) {
     const auto lock = LockShard(*shard);
     per_shard.push_back(shard->algo->TopK(options.k));
     tracked += per_shard.back().size();
-    memory += shard->algo->MemoryBytes();
   }
   QueryResult result;
   result.flows = MergeTopK(per_shard, options.k);
   result.consistency = relaxed ? ConsistencyLevel::kRelaxed : ConsistencyLevel::kExact;
   result.stats.tracked_flows = tracked;
   result.stats.min_tracked = result.flows.empty() ? 0 : result.flows.back().count;
-  result.stats.worker_threads = WorkerThreads();
-  result.stats.memory_bytes = memory;
-  result.stats.simd_kernel = ActiveSimdKernel();
   return result;
 }
 

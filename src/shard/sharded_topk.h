@@ -79,7 +79,7 @@ struct ShardedTopKOptions {
   std::string inner_spec = "HK-Minimum";
   bool threaded = false;      // spin up one worker + ring per shard
   size_t ring_capacity = 4096;  // per-shard ring slots (threaded mode)
-  size_t drain_burst = 256;     // packets per worker InsertBatch (threaded mode)
+  size_t drain_burst = 256;     // packets per worker InsertBatch (threaded; capped by the ring)
 };
 
 class ShardedTopK : public TopKAlgorithm {
@@ -163,6 +163,13 @@ class ShardedTopK : public TopKAlgorithm {
   struct Shard {
     std::unique_ptr<TopKAlgorithm> algo;
     std::unique_ptr<SpscRing<Packet>> ring;  // threaded mode only
+    // Threaded mode: the worker's burst buffers, min(burst=, ring
+    // capacity) long (Pop never hands over more than the ring holds).
+    // Allocated before the worker starts, so a failure throws out of the
+    // constructor rather than on a thread nothing catches.
+    std::vector<Packet> burst;
+    std::vector<FlowId> burst_ids;
+    std::vector<uint64_t> burst_weights;
     // Threaded mode: guards `algo`. The worker holds it for a whole drained
     // burst, so a reader sees the shard between bursts, never mid-burst.
     mutable std::mutex mu;

@@ -6,37 +6,17 @@
 namespace hk {
 namespace simd {
 
-bool ProbeMinimum(SimdKernel kernel, const uint32_t* words, const uint32_t* idx, uint32_t n,
-                  uint32_t fpw, uint32_t cmask, uint32_t gate, MinimumProbe* out) {
+bool ProbeQuery(SimdKernel kernel, const uint32_t* words, const uint32_t* idx, uint32_t fpw,
+                uint32_t cmask, uint32_t* best) {
 #if defined(__x86_64__) || defined(_M_X64)
   if (kernel == SimdKernel::kAvx2) {
-    ProbeMinimumAvx2(words, idx, n, fpw, cmask, gate, out);
+    *best = ProbeQueryAvx2(words, idx, fpw, cmask);
     return true;
   }
 #endif
   (void)kernel;
   (void)words;
   (void)idx;
-  (void)n;
-  (void)fpw;
-  (void)cmask;
-  (void)gate;
-  (void)out;
-  return false;
-}
-
-bool ProbeQuery(SimdKernel kernel, const uint32_t* words, const uint32_t* idx, uint32_t n,
-                uint32_t fpw, uint32_t cmask, uint32_t* best) {
-#if defined(__x86_64__) || defined(_M_X64)
-  if (kernel == SimdKernel::kAvx2) {
-    *best = ProbeQueryAvx2(words, idx, n, fpw, cmask);
-    return true;
-  }
-#endif
-  (void)kernel;
-  (void)words;
-  (void)idx;
-  (void)n;
   (void)fpw;
   (void)cmask;
   (void)best;

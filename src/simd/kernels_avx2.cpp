@@ -67,115 +67,17 @@ HK_AVX2 inline __m256i HashU64V(__m256i key, uint64_t seed) {
   return Mix64V(_mm256_xor_si256(MulLo64(x, s), MulHi64(x, s)));
 }
 
-HK_AVX2 inline uint32_t LaneMask8(__m256i cmp) {
-  return static_cast<uint32_t>(_mm256_movemask_ps(_mm256_castsi256_ps(cmp)));
-}
-
 HK_AVX2 inline uint32_t LaneMask4(__m128i cmp) {
   return static_cast<uint32_t>(_mm_movemask_ps(_mm_castsi128_ps(cmp)));
 }
 
-// cnt <= limit, lane-parallel unsigned (AVX2 lacks an unsigned compare).
-HK_AVX2 inline __m256i LeU32(__m256i cnt, __m256i limit) {
-  return _mm256_cmpeq_epi32(_mm256_min_epu32(cnt, limit), cnt);
-}
-
-HK_AVX2 inline uint32_t HorizontalMinU32(__m256i v) {
-  __m256i m = _mm256_min_epu32(v, _mm256_shuffle_epi32(v, _MM_SHUFFLE(2, 3, 0, 1)));
-  m = _mm256_min_epu32(m, _mm256_shuffle_epi32(m, _MM_SHUFFLE(1, 0, 3, 2)));
-  m = _mm256_min_epu32(m, _mm256_permute2x128_si256(m, m, 1));
-  return static_cast<uint32_t>(_mm_cvtsi128_si32(_mm256_castsi256_si128(m)));
-}
-
-HK_AVX2 inline uint32_t HorizontalMaxU32(__m256i v) {
-  __m256i m = _mm256_max_epu32(v, _mm256_shuffle_epi32(v, _MM_SHUFFLE(2, 3, 0, 1)));
-  m = _mm256_max_epu32(m, _mm256_shuffle_epi32(m, _MM_SHUFFLE(1, 0, 3, 2)));
-  m = _mm256_max_epu32(m, _mm256_permute2x128_si256(m, m, 1));
-  return static_cast<uint32_t>(_mm_cvtsi128_si32(_mm256_castsi256_si128(m)));
-}
-
-// One gather + the shared per-lane classification. Prepared::idx[] is
-// always 8 entries with zeros past n, so the full-width gather reads
-// words[0] in the dead lanes; `lanemask` strips them from every verdict.
-struct Classified {
-  __m256i cnt;
-  uint32_t match_mask;
-  uint32_t empty_mask;
-  uint32_t lanemask;
-};
-
-HK_AVX2 inline Classified Classify(const uint32_t* words, const uint32_t* idx, uint32_t n,
-                                   uint32_t fpw, uint32_t cmask) {
-  const __m256i vidx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
-  const __m256i word =
-      _mm256_i32gather_epi32(reinterpret_cast<const int*>(words), vidx, 4);
-  const __m256i cmaskv = _mm256_set1_epi32(static_cast<int>(cmask));
-  const __m256i zero = _mm256_setzero_si256();
-  Classified c;
-  c.cnt = _mm256_and_si256(word, cmaskv);
-  // Fingerprint match: (word ^ fpw) & ~cmask == 0; a live match also needs
-  // cnt != 0 (the all-zero word is the empty bucket).
-  const __m256i fp_eq = _mm256_cmpeq_epi32(
-      _mm256_andnot_si256(cmaskv,
-                          _mm256_xor_si256(word, _mm256_set1_epi32(static_cast<int>(fpw)))),
-      zero);
-  const __m256i emptyv = _mm256_cmpeq_epi32(c.cnt, zero);
-  c.lanemask = n >= 8 ? 0xffu : ((1u << n) - 1u);
-  c.empty_mask = LaneMask8(emptyv) & c.lanemask;
-  c.match_mask = LaneMask8(_mm256_andnot_si256(emptyv, fp_eq)) & c.lanemask;
-  return c;
-}
-
-}  // namespace
-
-HK_AVX2 void ProbeMinimumAvx2(const uint32_t* words, const uint32_t* idx, uint32_t n,
-                              uint32_t fpw, uint32_t cmask, uint32_t gate,
-                              MinimumProbe* out) {
-  const Classified c = Classify(words, idx, n, fpw, cmask);
-  *out = MinimumProbe{};
-  // Situation 1: the scalar scan returns on its first gate-open match, so
-  // nothing later in lane order can matter once open_mask is non-zero.
-  const uint32_t open_mask =
-      c.match_mask & LaneMask8(LeU32(c.cnt, _mm256_set1_epi32(static_cast<int>(gate))));
-  alignas(32) uint32_t cnts[8];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(cnts), c.cnt);
-  if (open_mask != 0) {
-    out->open_match = __builtin_ctz(open_mask);
-    out->open_cnt = cnts[out->open_match];
-    return;
-  }
-  if (c.empty_mask != 0) {
-    out->first_empty = __builtin_ctz(c.empty_mask);
-    return;  // situation 2 claims it; the min candidate is never consulted
-  }
-  // Situation 3: first smallest among decayable mismatches. Blocked matches
-  // (gate-closed) and empty lanes are not candidates; force them (and dead
-  // lanes) to UINT32_MAX, which no real counter reaches (cnt <= cmask <
-  // 2^31 in the narrow-word layout).
-  const uint32_t cand_mask = c.lanemask & ~c.match_mask & ~c.empty_mask;
-  if (cand_mask == 0) {
-    return;  // only blocked matches mapped: the unit falls through untouched
-  }
-  const __m256i lanebit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
-  const __m256i candv = _mm256_cmpeq_epi32(
-      _mm256_and_si256(_mm256_set1_epi32(static_cast<int>(cand_mask)), lanebit), lanebit);
-  const __m256i cnt_or =
-      _mm256_or_si256(c.cnt, _mm256_xor_si256(candv, _mm256_set1_epi32(-1)));
-  const uint32_t min_cnt = HorizontalMinU32(cnt_or);
-  const uint32_t eq_mask =
-      LaneMask8(_mm256_cmpeq_epi32(cnt_or, _mm256_set1_epi32(static_cast<int>(min_cnt))));
-  out->min_lane = __builtin_ctz(eq_mask);  // first occurrence == scalar tie-break
-  out->min_cnt = min_cnt;
-}
-
-namespace {
-
-// d = 4 in the narrow-word layout is the probe's sweet spot and the common
-// configuration, so it gets a dedicated 128-bit path: the gather has no
-// dead lanes, the horizontal reductions are one shuffle shorter, and -
-// because no ymm register is ever touched - the per-packet return needs no
-// vzeroupper (the AVX-SSE transition guard gcc otherwise plants at the exit
-// of every 256-bit function, a real cost at one call per packet).
+// The probe runs only at d = 4 in the narrow-word layout, the common
+// configuration, so it lives in 128-bit registers: the reductions are two
+// shuffles, and - because no ymm register is ever touched - the
+// per-packet return needs no vzeroupper (the AVX-SSE transition guard gcc
+// otherwise plants at the exit of every 256-bit function, a real cost at
+// one call per packet).
+//
 // Four independent scalar loads composed into one vector. On current x86
 // cores this beats vpgatherdd for a 4-lane probe: the gather's ~15-cycle
 // microcoded latency sits on the critical path of the packet, while these
@@ -186,9 +88,11 @@ HK_AVX2 inline __m128i GatherLanes4(const uint32_t* words, const uint32_t* idx) 
                        static_cast<int>(words[idx[1]]), static_cast<int>(words[idx[0]]));
 }
 
-HK_AVX2 uint32_t InsertMinimum4Avx2(uint32_t* words, const uint32_t* idx, uint32_t fpw,
-                                    uint32_t cmask, uint32_t gate, uint32_t counter_max,
-                                    const DecayTable& decay, Rng& rng, bool* stuck) {
+}  // namespace
+
+HK_AVX2 MinimumOutcome InsertMinimumAvx2(uint32_t* words, const uint32_t* idx, uint32_t fpw,
+                                         uint32_t cmask, uint32_t gate, uint32_t counter_max,
+                                         const DecayTable& decay, Rng& rng) {
   const __m128i word = GatherLanes4(words, idx);
   const __m128i cmaskv = _mm_set1_epi32(static_cast<int>(cmask));
   const __m128i zero = _mm_setzero_si128();
@@ -199,6 +103,7 @@ HK_AVX2 uint32_t InsertMinimum4Avx2(uint32_t* words, const uint32_t* idx, uint32
   const __m128i emptyv = _mm_cmpeq_epi32(cnt, zero);
   const uint32_t empty_mask = LaneMask4(emptyv);
   const uint32_t match_mask = LaneMask4(_mm_andnot_si128(emptyv, fp_eq));
+  MinimumOutcome out;
   // Situation 1: first fingerprint match whose counter passes the gate.
   const __m128i gatev = _mm_set1_epi32(static_cast<int>(gate));
   const uint32_t open_mask =
@@ -207,22 +112,26 @@ HK_AVX2 uint32_t InsertMinimum4Avx2(uint32_t* words, const uint32_t* idx, uint32
   _mm_store_si128(reinterpret_cast<__m128i*>(cnts), cnt);
   if (open_mask != 0) {
     const uint32_t lane = __builtin_ctz(open_mask);
-    uint32_t c32 = cnts[lane];
-    if (c32 < counter_max) {
+    out.estimate = cnts[lane];
+    if (out.estimate < counter_max) {
       words[idx[lane]] += 1;
-      ++c32;
+      ++out.estimate;
     }
-    return c32;
+    return out;
   }
   // Situation 2: claim the first empty mapped bucket.
   if (empty_mask != 0) {
     words[idx[__builtin_ctz(empty_mask)]] = fpw | 1u;
-    return 1;
+    out.estimate = 1;
+    return out;
   }
   // Situation 3: one decay coin on the first smallest decayable mismatch.
+  // Blocked matches (gate-closed) are not candidates; force them to
+  // UINT32_MAX, which no real counter reaches (cnt <= cmask < 2^31 in the
+  // narrow-word layout).
   const uint32_t cand_mask = 0xfu & ~match_mask & ~empty_mask;
   if (cand_mask == 0) {
-    return 0;  // only blocked matches mapped: the unit falls through
+    return out;  // only blocked matches mapped: the unit falls through
   }
   const __m128i lanebit = _mm_setr_epi32(1, 2, 4, 8);
   const __m128i candv = _mm_cmpeq_epi32(
@@ -231,63 +140,39 @@ HK_AVX2 uint32_t InsertMinimum4Avx2(uint32_t* words, const uint32_t* idx, uint32
   __m128i m = _mm_min_epu32(cnt_or, _mm_shuffle_epi32(cnt_or, _MM_SHUFFLE(2, 3, 0, 1)));
   m = _mm_min_epu32(m, _mm_shuffle_epi32(m, _MM_SHUFFLE(1, 0, 3, 2)));
   const uint32_t min_cnt = static_cast<uint32_t>(_mm_cvtsi128_si32(m));
+  // First occurrence of the minimum == the scalar scan's tie-break.
   const uint32_t lane = __builtin_ctz(LaneMask4(_mm_cmpeq_epi32(cnt_or, m)));
   if (min_cnt >= decay.cutoff()) {
-    *stuck = true;
-    return 0;
+    out.stuck = true;
+    return out;
   }
+  out.coin = true;
   if (decay.ShouldDecay(min_cnt, rng)) {
+    out.heads = true;
     if (min_cnt == 1) {
       words[idx[lane]] = fpw | 1u;
-      return 1;
+      out.estimate = 1;
+      return out;
     }
     words[idx[lane]] -= 1;
   }
-  return 0;
+  return out;
 }
 
-}  // namespace
-
-HK_AVX2 uint32_t InsertMinimumAvx2(uint32_t* words, const uint32_t* idx, uint32_t n,
-                                   uint32_t fpw, uint32_t cmask, uint32_t gate,
-                                   uint32_t counter_max, const DecayTable& decay, Rng& rng,
-                                   bool* stuck) {
-  if (n == 4) {
-    return InsertMinimum4Avx2(words, idx, fpw, cmask, gate, counter_max, decay, rng, stuck);
-  }
-  // Expanded sketches (n in 5..8): the 256-bit probe inlines here (same TU,
-  // same target), so the struct round-trip stays in registers.
-  MinimumProbe probe;
-  ProbeMinimumAvx2(words, idx, n, fpw, cmask, gate, &probe);
-  return ApplyMinimumProbe(words, idx, probe, fpw, counter_max, decay, rng, stuck);
-}
-
-HK_AVX2 uint32_t ProbeQueryAvx2(const uint32_t* words, const uint32_t* idx, uint32_t n,
-                                uint32_t fpw, uint32_t cmask) {
-  if (n == 4) {
-    // 128-bit twin of the lane math below (no dead gather lanes, no ymm).
-    const __m128i word = GatherLanes4(words, idx);
-    const __m128i cmaskv = _mm_set1_epi32(static_cast<int>(cmask));
-    const __m128i zero = _mm_setzero_si128();
-    const __m128i cnt = _mm_and_si128(word, cmaskv);
-    const __m128i fp_eq = _mm_cmpeq_epi32(
-        _mm_andnot_si128(cmaskv,
-                         _mm_xor_si128(word, _mm_set1_epi32(static_cast<int>(fpw)))),
-        zero);
-    const __m128i matchv = _mm_andnot_si128(_mm_cmpeq_epi32(cnt, zero), fp_eq);
-    const __m128i mcnt = _mm_and_si128(cnt, matchv);
-    __m128i m = _mm_max_epu32(mcnt, _mm_shuffle_epi32(mcnt, _MM_SHUFFLE(2, 3, 0, 1)));
-    m = _mm_max_epu32(m, _mm_shuffle_epi32(m, _MM_SHUFFLE(1, 0, 3, 2)));
-    return static_cast<uint32_t>(_mm_cvtsi128_si32(m));
-  }
-  const Classified c = Classify(words, idx, n, fpw, cmask);
-  if (c.match_mask == 0) {
-    return 0;
-  }
-  const __m256i lanebit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
-  const __m256i matchv = _mm256_cmpeq_epi32(
-      _mm256_and_si256(_mm256_set1_epi32(static_cast<int>(c.match_mask)), lanebit), lanebit);
-  return HorizontalMaxU32(_mm256_and_si256(c.cnt, matchv));
+HK_AVX2 uint32_t ProbeQueryAvx2(const uint32_t* words, const uint32_t* idx, uint32_t fpw,
+                                uint32_t cmask) {
+  const __m128i word = GatherLanes4(words, idx);
+  const __m128i cmaskv = _mm_set1_epi32(static_cast<int>(cmask));
+  const __m128i zero = _mm_setzero_si128();
+  const __m128i cnt = _mm_and_si128(word, cmaskv);
+  const __m128i fp_eq = _mm_cmpeq_epi32(
+      _mm_andnot_si128(cmaskv, _mm_xor_si128(word, _mm_set1_epi32(static_cast<int>(fpw)))),
+      zero);
+  const __m128i matchv = _mm_andnot_si128(_mm_cmpeq_epi32(cnt, zero), fp_eq);
+  const __m128i mcnt = _mm_and_si128(cnt, matchv);
+  __m128i m = _mm_max_epu32(mcnt, _mm_shuffle_epi32(mcnt, _MM_SHUFFLE(2, 3, 0, 1)));
+  m = _mm_max_epu32(m, _mm_shuffle_epi32(m, _MM_SHUFFLE(1, 0, 3, 2)));
+  return static_cast<uint32_t>(_mm_cvtsi128_si32(m));
 }
 
 namespace {
@@ -306,12 +191,10 @@ HK_AVX2 inline __m256i RowIdx64(__m256i key, const SimdPrepareParams& params, ui
   return _mm256_add_epi64(hi, _mm256_set1_epi64x(static_cast<long long>(j * params.w)));
 }
 
-// One transposed handle: 16B header (id, fp, n), 16B idx[0..3], 16B of
-// zeroed dead gather lanes (which must stay in-slab).
+// One transposed handle: 16B header (id, fp, n), then 16B idx[0..3].
 HK_AVX2 inline void StorePrepared4(HeavyKeeper::Prepared& p, __m128i hd, __m128i ix) {
   _mm_storeu_si128(reinterpret_cast<__m128i*>(&p), hd);
   _mm_storeu_si128(reinterpret_cast<__m128i*>(p.idx), ix);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(p.idx + 4), _mm_setzero_si128());
 }
 
 }  // namespace
@@ -341,7 +224,7 @@ HK_AVX2 size_t PrepareBatchAvx2(const SimdPrepareParams& params, const FlowId* i
       static_assert(offsetof(HeavyKeeper::Prepared, fp) == 8 &&
                         offsetof(HeavyKeeper::Prepared, n) == 12 &&
                         offsetof(HeavyKeeper::Prepared, idx) == 16 &&
-                        HeavyKeeper::kMaxPreparedArrays == 8,
+                        HeavyKeeper::kMaxPreparedArrays >= 4,
                     "Prepared layout drifted; fix the transposed stores");
       const __m256i i0 = RowIdx64(key, params, 0, wv);
       const __m256i i1 = RowIdx64(key, params, 1, wv);
@@ -375,12 +258,8 @@ HK_AVX2 size_t PrepareBatchAvx2(const SimdPrepareParams& params, const FlowId* i
       p.id = ids[i + lane];
       p.fp = static_cast<uint32_t>(fp_tmp[lane]);
       p.n = rows;
-      uint32_t j = 0;
-      for (; j < rows; ++j) {
+      for (uint32_t j = 0; j < rows; ++j) {
         p.idx[j] = static_cast<uint32_t>(idx_tmp[j][lane]);
-      }
-      for (; j < HeavyKeeper::kMaxPreparedArrays; ++j) {
-        p.idx[j] = 0;  // dead gather lanes must stay in-slab
       }
     }
   }

@@ -9,8 +9,9 @@
 //                  (CI forces the fallback path on AVX2 runners with
 //                  HK_SIMD=scalar); an explicit spec always wins.
 //   simd=scalar  - portable path, always available.
-//   simd=avx2    - x86 gather-compare kernels; construction throws if the
-//                  host cpuid does not report AVX2.
+//   simd=avx2    - x86 batch hashing and the d = 4 probe-compare kernels;
+//                  construction throws if the host cpuid does not report
+//                  AVX2.
 //
 // Every kernel is bit-identical to the scalar path (same hashes, same
 // bucket transitions, decay coins drawn scalar in packet order), so the
@@ -61,7 +62,7 @@ bool SimdKernelAvailable(SimdKernel kernel);
 // lacks it - a spec that says avx2 must never silently run scalar.
 SimdKernel ResolveSimdKernel(SimdMode mode);
 
-// Kernel name for SnapshotStats / serve STATS ("scalar", "avx2").
+// Kernel name for ActiveSimdKernel() / serve STATS ("scalar", "avx2").
 const char* SimdKernelName(SimdKernel kernel);
 
 // Spec-grammar token for a mode ("auto", "scalar", "avx2").

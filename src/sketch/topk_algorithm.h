@@ -74,15 +74,12 @@ struct QueryOptions {
   ConsistencyLevel consistency = ConsistencyLevel::kExact;
 };
 
-// Point-in-time view of an algorithm's top-k state.
+// Point-in-time view of an algorithm's top-k state. What does not change
+// with the stream (WorkerThreads(), MemoryBytes(), ActiveSimdKernel()) is
+// asked of the algorithm, not carried here.
 struct SnapshotStats {
-  size_t tracked_flows = 0;   // candidate-store entries backing the report
-  uint64_t min_tracked = 0;   // smallest tracked estimate (the paper's nmin)
-  size_t worker_threads = 0;  // WorkerThreads() at snapshot time
-  size_t memory_bytes = 0;    // MemoryBytes() of the instance
-  // Resolved hot-path kernel ("scalar"/"avx2"; "" when the
-  // algorithm has no SIMD dispatch). Static-literal lifetime.
-  const char* simd_kernel = "";
+  size_t tracked_flows = 0;  // candidate-store entries backing the report
+  uint64_t min_tracked = 0;  // smallest tracked estimate (the paper's nmin)
 };
 
 struct QueryResult {
@@ -150,14 +147,11 @@ class TopKAlgorithm {
     result.consistency = ConsistencyLevel::kExact;
     result.stats.tracked_flows = result.flows.size();
     result.stats.min_tracked = result.flows.empty() ? 0 : result.flows.back().count;
-    result.stats.worker_threads = WorkerThreads();
-    result.stats.memory_bytes = MemoryBytes();
-    result.stats.simd_kernel = ActiveSimdKernel();
     return result;
   }
 
   // The SIMD kernel the instance resolved at construction (simd/simd.h
-  // dispatch), as a static string for SnapshotStats / serve STATS. ""
+  // dispatch), as a static string for serve STATS. ""
   // means the algorithm has no vectorized path; wrappers report their
   // inner's kernel.
   virtual const char* ActiveSimdKernel() const { return ""; }

@@ -20,15 +20,15 @@
 // The one divergence is the eviction tie-break: when several entries share
 // the minimum count, ReplaceMin may expel a different (equally valid)
 // victim than the eager heap, whose internal order depends on its sift
-// history. The pipelines swap it in as the default Store with reports
-// identical up to those tie-breaks (the differential harness holds across
-// the swap, and same-seed runs of the same store remain bit-deterministic).
+// history. It is the HeavyKeeper pipelines' one candidate store, with
+// reports identical to the eager heap's up to those tie-breaks (same-seed
+// runs remain bit-deterministic).
 //
 // Find()/Raise() expose the compare-only fast path: one open-addressing
 // lookup (FlowSlotMap below) yields the slot pointer, and Raise writes
 // through it, flagging the root dirty only when the raised flow *is* the
-// root. The generic RaiseCount() keeps the duck-typed store API used by the
-// ablation benches.
+// root. RaiseCount() is IndexedMinHeap's raise, so the differential test
+// can drive both stores through one API.
 #ifndef HK_SUMMARY_LAZY_TOPK_H_
 #define HK_SUMMARY_LAZY_TOPK_H_
 
@@ -214,11 +214,11 @@ class LazyTopKStore {
   std::vector<FlowCount> Entries() const;
 
   // Paper-convention accounting (Section VI-A): the candidate store is
-  // charged key + 32-bit count per entry, exactly like HeapTopKStore -
+  // charged key + 32-bit count per entry, exactly like IndexedMinHeap -
   // auxiliary index structures (here the FlowSlotMap table, there the
-  // unordered position map) are not charged, so swapping backends never
-  // changes an experiment's memory split. The real allocation is
-  // ~sizeof(FlowCount) + 2-3 slot words per entry.
+  // unordered position map) are not charged, so the ablation benches that
+  // drive the eager heap keep the same memory split. The real allocation
+  // is ~sizeof(FlowCount) + 2-3 slot words per entry.
   static size_t BytesPerEntry(size_t key_bytes) { return key_bytes + 4; }
 
  private:

@@ -204,9 +204,6 @@ QueryResult WindowedTopK::Snapshot(const QueryOptions& options) {
   result.consistency = ConsistencyLevel::kExact;
   result.stats.tracked_flows = tracked;
   result.stats.min_tracked = result.flows.empty() ? 0 : result.flows.back().count;
-  result.stats.worker_threads = WorkerThreads();
-  result.stats.memory_bytes = MemoryBytes();
-  result.stats.simd_kernel = ActiveSimdKernel();
   return result;
 }
 

@@ -202,23 +202,6 @@ TEST(HkTopKTest, MinimumBeatsParallelUnderTightMemory) {
   EXPECT_GT(pm + 0.02, pp) << "Minimum should not lose to Parallel when memory is tight";
 }
 
-TEST(HkTopKTest, StreamSummaryBackendWorksEndToEnd) {
-  const Trace trace = SkewedTrace(53, 100000);
-  Oracle oracle(trace);
-  auto algo = HeavyKeeperTopK<SummaryTopKStore>::Builder()
-                  .version(HkVersion::kParallel)
-                  .memory_bytes(30 * 1024)
-                  .k(100)
-                  .key_kind(KeyKind::kSynthetic4B)
-                  .seed(1)
-                  .Build();
-  for (const FlowId id : trace.packets) {
-    algo->Insert(id);
-  }
-  const auto report = EvaluateTopK(algo->TopK(100), oracle, 100);
-  EXPECT_GE(report.precision, 0.85);
-}
-
 TEST(HkTopKTest, EstimateSizeFallsBackToSketch) {
   auto algo = HeavyKeeperTopK<>::Builder()
                   .version(HkVersion::kParallel)

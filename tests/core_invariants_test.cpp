@@ -16,6 +16,7 @@
 #include "core/hk_topk.h"
 #include "ovs/pipeline.h"
 #include "sketch/registry.h"
+#include "summary/min_heap.h"
 #include "trace/generators.h"
 #include "trace/oracle.h"
 
@@ -89,7 +90,7 @@ TEST_P(Theorem1Sweep, AdmittedFlowsReportNminPlusOne) {
   config.counter_bits = 32;
   config.seed = GetParam();
   HeavyKeeper sketch(config);
-  HeapTopKStore store(16);
+  IndexedMinHeap store(16);
 
   Rng rng(GetParam() ^ 0x7177ULL);
   int admissions = 0;

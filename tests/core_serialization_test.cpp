@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <string>
 
 #include "common/random.h"
 #include "trace/generators.h"
@@ -80,18 +79,6 @@ TEST(SerializationTest, ExpandedSketchRoundTrips) {
   EXPECT_EQ(restored->Query(2), sketch.Query(2));
 }
 
-TEST(SerializationTest, FileRoundTrip) {
-  const HeavyKeeper original = MakeLoadedSketch(13);
-  const std::string path = std::string(::testing::TempDir()) + "/sketch.hk";
-  ASSERT_TRUE(SaveSketch(original, path));
-  const auto restored = LoadSketch(path);
-  ASSERT_TRUE(restored.has_value());
-  for (FlowId id = 1; id <= 500; ++id) {
-    ASSERT_EQ(restored->Query(id), original.Query(id));
-  }
-  std::remove(path.c_str());
-}
-
 TEST(SerializationTest, RejectsGarbage) {
   EXPECT_FALSE(DeserializeSketch(nullptr, 0).has_value());
   const std::vector<uint8_t> garbage(100, 0xab);
@@ -111,40 +98,20 @@ TEST(SerializationTest, RejectsTrailingBytes) {
   EXPECT_FALSE(DeserializeSketch(buffer).has_value());
 }
 
-TEST(SerializationTest, LoadMissingFileFails) {
-  EXPECT_FALSE(LoadSketch("/nonexistent/path/sketch.hk").has_value());
-}
-
-#ifndef HK_TEST_DATA_DIR
-#define HK_TEST_DATA_DIR "tests/data"
-#endif
-
-TEST(SerializationTest, LoadsVersion1Snapshot) {
-  // tests/data/sketch_v1.bin was written by the pre-slab implementation
-  // (format v1: unpacked uint32 fp/c pairs): d=2, w=32, seed=41, then 5000
-  // InsertBasic of Rng(137).NextBounded(150)+1. The v2 loader must accept
-  // it and reconstruct exactly the state a fresh replay produces.
-  const auto loaded = LoadSketch(std::string(HK_TEST_DATA_DIR) + "/sketch_v1.bin");
-  ASSERT_TRUE(loaded.has_value()) << "v1 load path rejected the recorded snapshot";
-
+TEST(SerializationTest, RejectsEveryVersionButTwo) {
+  // The version field follows the 8-byte magic. An empty sketch's payload
+  // is resized to what a v1 blob of its geometry held - one 8-byte (fp, c)
+  // pair per bucket, all empty - so v1 is refused for its version alone.
   HeavyKeeperConfig config;
   config.d = 2;
-  config.w = 32;
-  config.seed = 41;
-  HeavyKeeper replayed(config);
-  Rng rng(137);
-  for (int i = 0; i < 5000; ++i) {
-    replayed.InsertBasic(1 + rng.NextBounded(150));
+  config.w = 512;
+  auto buffer = SerializeSketch(HeavyKeeper(config));
+  ASSERT_TRUE(DeserializeSketch(buffer).has_value());
+  buffer.resize(96 + 2 * 512 * 8, 0);
+  for (const uint32_t version : {0u, 1u, 3u}) {
+    std::memcpy(buffer.data() + 8, &version, sizeof(version));
+    EXPECT_FALSE(DeserializeSketch(buffer).has_value()) << "version " << version;
   }
-  EXPECT_EQ(loaded->DebugDump(), replayed.DebugDump());
-  EXPECT_EQ(loaded->stuck_events(), replayed.stuck_events());
-
-  // Re-serializing writes the packed v2 image: smaller on disk, and it
-  // round-trips to the same state.
-  const auto v2 = SerializeSketch(*loaded);
-  const auto again = DeserializeSketch(v2);
-  ASSERT_TRUE(again.has_value());
-  EXPECT_EQ(again->DebugDump(), loaded->DebugDump());
 }
 
 TEST(SerializationTest, RejectsGeometryBeyondPreparedArrayLimit) {
@@ -173,8 +140,7 @@ TEST(SerializationTest, RejectsGeometryBeyondPreparedArrayLimit) {
 TEST(SerializationTest, V2PayloadIsPackedWordSized) {
   const HeavyKeeper sketch = MakeLoadedSketch(23);  // default 16+16 geometry
   const auto buffer = SerializeSketch(sketch);
-  // 96-byte header, then one packed 4-byte word per bucket - half the v1
-  // pair encoding.
+  // 96-byte header, then one packed 4-byte word per bucket.
   const size_t buckets = sketch.num_arrays() * sketch.width();
   EXPECT_EQ(buffer.size(), 96 + 4 * buckets);
 }

@@ -128,7 +128,6 @@ TEST_P(DifferentialSweep, InvariantsHoldOnRandomAndAdversarialTraces) {
     // after the stream ends every algorithm must deliver kExact.
     const QueryResult result = algo->Snapshot({.k = trace.k});
     EXPECT_EQ(result.consistency, ConsistencyLevel::kExact) << name;
-    EXPECT_EQ(result.stats.memory_bytes, algo->MemoryBytes()) << name;
     const auto& top = result.flows;
     EXPECT_EQ(top, algo->TopK(trace.k)) << name << " Snapshot/TopK diverged";
     EXPECT_LE(top.size(), trace.k) << name << " on " << trace.label;

@@ -208,7 +208,7 @@ TEST(IngestReplayTest, SnapshotReportRidesTheReplay) {
   EXPECT_EQ(stats.report.consistency, ConsistencyLevel::kExact);
   ASSERT_FALSE(stats.report.flows.empty());
   EXPECT_EQ(stats.report.flows, algo->TopK(kK));
-  EXPECT_EQ(stats.report.stats.worker_threads, 2u);
+  EXPECT_EQ(algo->WorkerThreads(), 2u);
   EXPECT_GE(stats.report.stats.tracked_flows, stats.report.flows.size());
 }
 

@@ -258,8 +258,7 @@ TEST(PipelineTest, SnapshotReportsCollectedPerPipeline) {
   EXPECT_LE(report.flows.size(), 10u);
   ASSERT_FALSE(report.flows.empty());
   EXPECT_EQ(report.flows, algo->TopK(10));
-  EXPECT_EQ(report.stats.worker_threads, 2u);
-  EXPECT_EQ(report.stats.memory_bytes, algo->MemoryBytes());
+  EXPECT_EQ(algo->WorkerThreads(), 2u);
 
   // The plain-OVS baseline (no algorithm) has nothing to report.
   const auto baseline = RunPipelines(packets, nullptr, config);

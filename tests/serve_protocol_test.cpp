@@ -1,7 +1,7 @@
 // hk_serve line-protocol tests: ServeCore::Execute() verb coverage
 // (multi-tenancy, the single-tenant name-omission convenience, relaxed vs
 // exact TOPK, ingest from a synthesized capture, the one-read ATTACH, the
-// ingest stage timers, an idle live source and DROP mid-ingest) and the
+// ingest stage timers, live and idle FIFO sources and DROP mid-ingest) and the
 // LineServer TCP transport end to end over loopback, including its
 // connection cap.
 #include <gtest/gtest.h>
@@ -124,6 +124,22 @@ TEST(ServeProtocol, CreateListDrop) {
   EXPECT_EQ(core.Execute("DROP b"), "OK dropped b\n");
   EXPECT_EQ(core.Execute("DROP b").rfind("ERR ", 0), 0u);
   EXPECT_EQ(core.InstanceNames(), std::vector<std::string>{"a"});
+}
+
+// A threaded Sharded burst= far past the ring is accepted and drains: a
+// worker never takes more than its ring holds, so its buffers are sized to
+// the ring, not to the burst.
+TEST(ServeProtocol, OversizedShardedBurstDrainsTheCapture) {
+  const Fixture& fx = CampusCapture();
+  ServeCore core(SmallOptions());
+  const char kHugeBurst[] = "Sharded:n=1,threads=1,burst=100000000000,inner=HK-Minimum";
+  ASSERT_EQ(core.Execute(std::string("CREATE x ") + kHugeBurst), "OK created x\n");
+  ASSERT_EQ(core.Execute("ATTACH x " + fx.path), "OK attached x\n");
+  core.DrainIngest();
+  EXPECT_EQ(core.PacketsApplied("x"), fx.trace.packets.size());
+  const auto topk = Lines(core.Execute("TOPK x 5 exact"));
+  EXPECT_EQ(topk.size(), 6u);
+  EXPECT_EQ(core.Execute("PING"), "OK pong\n");
 }
 
 TEST(ServeProtocol, SingleTenantNameOmission) {
@@ -324,9 +340,9 @@ size_t ThreadCount() {
 
 // An idle live source costs no CPU. The writer sends a capture prefix
 // (more than one 256 KB stream read) and then holds the FIFO open without
-// writing: the parse thread sleeps in read() with a burst half filled,
-// and the ingest thread sleeps waiting for it. Neither may spin through
-// the second the writer holds.
+// writing: the parse thread hands over what has arrived and sleeps in
+// read(), and the ingest thread sleeps waiting for its next burst.
+// Neither may spin through the second the writer holds.
 TEST(ServeProtocol, IngestFromAnIdleFifoCostsNoCpu) {
   const std::string tag = std::to_string(::getpid());
   const std::string capture = TempPath("serve_idle_" + tag + ".pcap");
@@ -377,6 +393,57 @@ TEST(ServeProtocol, IngestFromAnIdleFifoCostsNoCpu) {
   core.DrainIngest();
   EXPECT_NE(core.Execute("STATS idle").find("STAT ingest_done 1\n"), std::string::npos);
   EXPECT_EQ(core.PacketsApplied("idle"), trace.packets.size());
+  std::remove(fifo.c_str());
+  std::remove(capture.c_str());
+}
+
+// A live source's records are applied as they arrive: the writer sends a
+// 40-record capture and holds the FIFO open, and all 40 are applied within
+// a second - the ingest does not wait for a full 512-record burst or for
+// the writer to close.
+TEST(ServeProtocol, LiveFifoAppliesWhatHasArrived) {
+  const std::string tag = std::to_string(::getpid());
+  const std::string capture = TempPath("serve_live_" + tag + ".pcap");
+  const Trace trace = SynthesizeCapture(CampusConfig(40, 37), capture, CaptureSynthOptions{});
+  ASSERT_EQ(trace.packets.size(), 40u);
+  std::ifstream in(capture, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  const std::string fifo = TempPath("serve_live_fifo_" + tag);
+  std::remove(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
+
+  ServeCore core(SmallOptions());
+  ASSERT_EQ(core.Execute("CREATE live HK"), "OK created live\n");
+  std::promise<void> checked;
+  std::thread writer([&, done = checked.get_future()] {
+    int fd = -1;
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while ((fd = ::open(fifo.c_str(), O_WRONLY | O_NONBLOCK)) < 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (fd < 0) {
+      return;
+    }
+    ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) & ~O_NONBLOCK);
+    EXPECT_EQ(::write(fd, bytes.data(), bytes.size()), static_cast<ssize_t>(bytes.size()));
+    done.wait_for(std::chrono::seconds(10));  // hold the pipe open
+    ::close(fd);
+  });
+  ASSERT_EQ(core.Execute("ATTACH live stream:" + fifo), "OK attached live\n");
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (core.PacketsApplied("live") < trace.packets.size() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const uint64_t applied_while_open = core.PacketsApplied("live");
+  const std::string stats = core.Execute("STATS live");
+  checked.set_value();
+  writer.join();
+  EXPECT_EQ(applied_while_open, trace.packets.size()) << "applied before the writer closed";
+  EXPECT_NE(stats.find("STAT ingest_done 0\n"), std::string::npos) << stats;
+  core.DrainIngest();
+  EXPECT_EQ(core.PacketsApplied("live"), trace.packets.size());
   std::remove(fifo.c_str());
   std::remove(capture.c_str());
 }

@@ -5,9 +5,11 @@
 # restart from the checkpoint, and assert the recovered daemon answers
 # identically - the file-backed source replays with the applied prefix
 # skipped, so a kill loses nothing. On the way it checks the daemon's
-# limits: an overlong request line, the 256-connection cap, and that
-# thousands of short connections do not grow its address space; and that
-# a drained threaded Sharded instance leaves the daemon idle.
+# limits: an overlong request line, the 256-connection cap, that
+# thousands of short connections do not grow its address space, and that
+# a threaded Sharded burst= far past its ring neither kills the daemon nor
+# loses packets; and that a drained threaded Sharded instance leaves the
+# daemon idle.
 #
 # usage: tests/serve_smoke.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -146,6 +148,26 @@ done
 VM_GROWTH_KB=$(( $(vmsize_kb) - VM_BEFORE ))
 [ "$VM_GROWTH_KB" -lt 1048576 ] || {
   echo "VmSize grew $VM_GROWTH_KB kB over 2000 connections"; exit 1; }
+
+echo "== a threaded Sharded burst= far past its ring drains the fixture, the daemon keeps serving =="
+# A worker never takes more than its ring holds, so the burst buffers are
+# ring-sized and CREATE answers before any worker runs.
+query "CREATE huge Sharded:n=1,threads=1,burst=100000000000,inner=HK-Minimum" |
+  grep -qx "OK created huge"
+query "ATTACH huge $FIXTURE key=5tuple" | grep -qx "OK attached huge"
+HUGE_DONE=""
+for _ in $(seq 1 100); do
+  if query "STATS huge" | grep -q "STAT ingest_done 1"; then HUGE_DONE=1; break; fi
+  sleep 0.1
+done
+[ -n "$HUGE_DONE" ] || { echo "the burst= instance never drained"; exit 1; }
+HUGE_PACKETS="$(query "STATS huge" | sed -n 's/^STAT packets_applied //p')"
+[ "$HUGE_PACKETS" = "$PACKETS_BEFORE" ] || {
+  echo "burst= instance applied $HUGE_PACKETS of $PACKETS_BEFORE packets"; exit 1; }
+# An exact TOPK waits until the worker has applied every queued packet.
+query "TOPK huge 5 exact" | grep -q "^END consistency=exact"
+query "PING" | grep -qx "OK pong"
+query "DROP huge" | grep -qx "OK dropped huge"
 
 echo "== METRICS: exposition sanity, layer coverage, monotone counters =="
 # Threaded Sharded and Window instances so those layers' series register

@@ -9,6 +9,7 @@
 //     (unit and byte-weighted) under simd=scalar and the best available
 //     kernel; SaveState blobs must match byte for byte (the strongest
 //     equality the library can express - every bucket word identical),
+//   * the core decay and stuck counters read the same under every kernel,
 //   * EstimateSizeBatch == the EstimateSize loop, windowed rescore
 //     included.
 //
@@ -33,6 +34,7 @@
 #include "serve/serve_core.h"
 #include "simd/hash_batch.h"
 #include "sketch/registry.h"
+#include "telemetry/telemetry.h"
 #include "trace/generators.h"
 
 namespace hk {
@@ -123,13 +125,12 @@ TEST(SimdSpec, RejectionMatrix) {
 
 TEST(SimdSpec, SnapshotReportsResolvedKernel) {
   auto algo = MakeSketch("HK-Minimum");
-  const QueryResult result = algo->Snapshot({.k = 5});
-  EXPECT_EQ(result.stats.simd_kernel, BestToken());
+  EXPECT_EQ(algo->ActiveSimdKernel(), BestToken());
   auto scalar = MakeSketch("HK-Minimum:simd=scalar");
-  EXPECT_STREQ(scalar->Snapshot({.k = 5}).stats.simd_kernel, "scalar");
+  EXPECT_STREQ(scalar->ActiveSimdKernel(), "scalar");
   // Algorithms without a SIMD hot path report "".
   auto ss = MakeSketch("SS");
-  EXPECT_STREQ(ss->Snapshot({.k = 5}).stats.simd_kernel, "");
+  EXPECT_STREQ(ss->ActiveSimdKernel(), "");
 }
 
 TEST(SimdSpec, ServeStatsReportKernel) {
@@ -390,6 +391,73 @@ INSTANTIATE_TEST_SUITE_P(Specs, SimdDifferentialSweep, ::testing::ValuesIn(Sweep
                          });
 
 // ---------------------------------------------------------------------------
+// Core counters: the vector Minimum insert counts its decay coins and stuck
+// events exactly as the scalar scan does
+
+struct CoreCounts {
+  uint64_t attempts = 0;
+  uint64_t successes = 0;
+  uint64_t stuck = 0;
+};
+
+CoreCounts CoreCountsNow() {
+  const telemetry::Registry& registry = telemetry::Registry::Get();
+  return {registry.SumCounter("hk_core_decay_attempts_total"),
+          registry.SumCounter("hk_core_decay_success_total"),
+          registry.SumCounter("hk_core_stuck_events_total")};
+}
+
+// The counter deltas of feeding a fresh `spec` of `memory_bytes` (k = 10)
+// the capture at `path`, or the mouse-flood workload when `path` is empty.
+CoreCounts RunCounts(const std::string& spec, size_t memory_bytes, const std::string& path) {
+  SketchDefaults defaults = SweepDefaults();
+  defaults.memory_bytes = memory_bytes;
+  defaults.k = 10;
+  auto algo = MakeSketch(spec, defaults);
+  const CoreCounts before = CoreCountsNow();
+  if (path.empty()) {
+    algo->InsertBatch(FloodWorkload());
+  } else {
+    PcapReader reader;
+    EXPECT_TRUE(reader.Open(path)) << reader.error();
+    TraceReplayer(ReplayOptions{}).Replay(reader, *algo);
+  }
+  const CoreCounts after = CoreCountsNow();
+  return {after.attempts - before.attempts, after.successes - before.successes,
+          after.stuck - before.stuck};
+}
+
+TEST(SimdCounters, DecayAndStuckCountsMatchScalar) {
+  if (!SimdKernelAvailable(SimdKernel::kAvx2)) {
+    GTEST_SKIP() << "no AVX2 on this host: only the scalar kernel runs";
+  }
+  if (!telemetry::Registry::Enabled()) {
+    GTEST_SKIP() << "telemetry is off: the counters do not move";
+  }
+  // Both fixture captures into 2 KB, where every d decays; and the mouse
+  // flood into 330 bytes (160 of sketch: 40 buckets), where the 20
+  // elephants hold buckets past the decay cutoff, so at d <= 4 mice also
+  // get stuck.
+  const std::vector<std::pair<std::string, size_t>> inputs = {
+      {CampusFixture(), 2048}, {CaidaFixture(), 2048}, {"", 330}};
+  for (const int d : {2, 4, 8}) {
+    for (const auto& [path, bytes] : inputs) {
+      const std::string spec = "HK-Minimum:d=" + std::to_string(d);
+      const std::string label = spec + " " + (path.empty() ? "mouse-flood" : path);
+      const CoreCounts scalar = RunCounts(spec + ",simd=scalar", bytes, path);
+      const CoreCounts vector = RunCounts(spec + ",simd=avx2", bytes, path);
+      EXPECT_GT(scalar.attempts, 0u) << label;
+      if (path.empty() && d <= 4) {
+        EXPECT_GT(scalar.stuck, 0u) << label;
+      }
+      EXPECT_EQ(vector.attempts, scalar.attempts) << label;
+      EXPECT_EQ(vector.successes, scalar.successes) << label;
+      EXPECT_EQ(vector.stuck, scalar.stuck) << label;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Batched queries
 
 TEST(SimdQuery, EstimateSizeBatchEqualsLoop) {
@@ -425,8 +493,8 @@ TEST(SimdQuery, WindowRescoreIdenticalAcrossKernels) {
   const QueryResult a = scalar->Snapshot({.k = 50});
   const QueryResult b = vector->Snapshot({.k = 50});
   EXPECT_EQ(a.flows, b.flows);
-  EXPECT_STREQ(a.stats.simd_kernel, "scalar");
-  EXPECT_EQ(b.stats.simd_kernel, BestToken());
+  EXPECT_STREQ(scalar->ActiveSimdKernel(), "scalar");
+  EXPECT_EQ(vector->ActiveSimdKernel(), BestToken());
 }
 
 }  // namespace

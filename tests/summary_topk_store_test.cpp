@@ -1,13 +1,14 @@
-// Differential tests: the two top-k store backends (min-heap and
-// Stream-Summary, Section III-C note) must behave identically through the
-// duck-typed store API used by the HeavyKeeper pipelines.
-#include "summary/topk_store.h"
-
+// Candidate-store tests: the pipelines' lazy-threshold store against the
+// eager min-heap of Section III-C (its differential reference), through
+// the API both share, and the heap against Stream-Summary.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "common/random.h"
+#include "summary/lazy_topk.h"
+#include "summary/min_heap.h"
+#include "summary/stream_summary.h"
 
 namespace hk {
 namespace {
@@ -15,7 +16,7 @@ namespace {
 template <typename Store>
 class TopKStoreTypedTest : public ::testing::Test {};
 
-using StoreTypes = ::testing::Types<HeapTopKStore, SummaryTopKStore, LazyTopKStore>;
+using StoreTypes = ::testing::Types<IndexedMinHeap, LazyTopKStore>;
 TYPED_TEST_SUITE(TopKStoreTypedTest, StoreTypes);
 
 TYPED_TEST(TopKStoreTypedTest, BasicLifecycle) {
@@ -58,10 +59,14 @@ TYPED_TEST(TopKStoreTypedTest, EmptyStoreMinIsZero) {
   EXPECT_TRUE(store.TopK(5).empty());
 }
 
+// The paper's two Section III-C structures - the min-heap it explains the
+// algorithm with and the Stream-Summary its authors use (which backs SS,
+// Frequent and CSS here) - agree op for op under HeavyKeeper's admission
+// rule: same membership, same nmin, same ranked counts.
 TEST(TopKStoreDifferentialTest, BackendsAgreeOnRandomWorkload) {
   constexpr size_t kCapacity = 16;
-  HeapTopKStore heap(kCapacity);
-  SummaryTopKStore summary(kCapacity);
+  IndexedMinHeap heap(kCapacity);
+  StreamSummary summary(kCapacity);
   Rng rng(2024);
 
   for (int i = 0; i < 20000; ++i) {
@@ -76,7 +81,7 @@ TEST(TopKStoreDifferentialTest, BackendsAgreeOnRandomWorkload) {
       summary.Insert(id, v);
     } else if (v == heap.MinCount() + 1) {
       // nmin+1 replacements only (the HeavyKeeper admission rule). When
-      // several entries tie at the min the two backends may legitimately
+      // several entries tie at the min the two structures may legitimately
       // evict different ids and membership would diverge, so only replace
       // when the victim is unique.
       const auto entries = heap.TopK(kCapacity);
@@ -88,7 +93,8 @@ TEST(TopKStoreDifferentialTest, BackendsAgreeOnRandomWorkload) {
       }
       if (at_min == 1) {
         heap.ReplaceMin(id, v);
-        summary.ReplaceMin(id, v);
+        summary.PopMin();
+        summary.Insert(id, v);
       }
     }
     ASSERT_EQ(heap.MinCount(), summary.MinCount()) << "op " << i;
@@ -108,7 +114,7 @@ TEST(TopKStoreDifferentialTest, BackendsAgreeOnRandomWorkload) {
 // nmin threshold right after interleaved raises of the minimum flow.
 TEST(TopKStoreDifferentialTest, LazyMatchesEagerHeapExactly) {
   constexpr size_t kCapacity = 16;
-  HeapTopKStore eager(kCapacity);
+  IndexedMinHeap eager(kCapacity);
   LazyTopKStore lazy(kCapacity);
   Rng rng(4097);
 
@@ -142,10 +148,10 @@ TEST(TopKStoreDifferentialTest, LazyMatchesEagerHeapExactly) {
     ASSERT_EQ(eager.Value(id), lazy.Value(id)) << "op " << i;
     ASSERT_EQ(eager.size(), lazy.size()) << "op " << i;
   }
-  // Note: unlike the heap-vs-summary differential above, membership is
-  // compared unconditionally - both stores expel the *fresh* minimum and
-  // with identical inputs must pick identical victims whenever the minimum
-  // is unique; count ties can diverge on id, so compare the sorted counts.
+  // Membership is compared unconditionally - both stores expel the *fresh*
+  // minimum and with identical inputs must pick identical victims whenever
+  // the minimum is unique; count ties can diverge on id, so compare the
+  // sorted counts.
   const auto et = eager.TopK(kCapacity);
   const auto lt = lazy.TopK(kCapacity);
   ASSERT_EQ(et.size(), lt.size());
@@ -193,10 +199,12 @@ TEST(TopKStoreTest, LazyHandlesFlowIdZero) {
 }
 
 TEST(TopKStoreTest, BytesPerEntryAccounting) {
-  // Heap: key + 32-bit count. Stream-Summary adds list/index overhead.
-  EXPECT_EQ(HeapTopKStore::BytesPerEntry(13), 17u);
-  EXPECT_EQ(SummaryTopKStore::BytesPerEntry(13), 33u);
-  EXPECT_LT(HeapTopKStore::BytesPerEntry(4), SummaryTopKStore::BytesPerEntry(4));
+  // Heap and lazy store: key + 32-bit count. Stream-Summary adds list/index
+  // overhead.
+  EXPECT_EQ(IndexedMinHeap::BytesPerEntry(13), 17u);
+  EXPECT_EQ(LazyTopKStore::BytesPerEntry(13), 17u);
+  EXPECT_EQ(StreamSummary::BytesPerEntry(13), 33u);
+  EXPECT_LT(IndexedMinHeap::BytesPerEntry(4), StreamSummary::BytesPerEntry(4));
 }
 
 }  // namespace
