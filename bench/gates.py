@@ -4,7 +4,7 @@
     ./build/ladder --benchmark_out=ladder.json --benchmark_out_format=json
     python3 bench/gates.py ladder.json
 
-Prints every ladder row's ns per item (packets; queries for L8, blob
+Prints every ladder row's ns per item (packets; queries for L8, slab
 bytes for L9) and, for a row in a chain, its delta over the row below
 it. Then checks GATES:
 each is the best of its numerator rows over its denominator row, in items
@@ -68,8 +68,12 @@ GATES = [
          0.8, SOFT),
     Gate("weighted mouse flood: collapsed / per-unit replay",
          ["L2/weighted/collapsed"], "L2/weighted/replay", 2.0, SOFT),
-    # One copy per checkpoint: a second copy of the state would read ~0.5.
+    # SaveState encodes the slab in one pass, against one copy of the slab:
+    # mostly empty buckets (the caida-sized sketch) and every bucket
+    # occupied, where the masks add 1/32 to the bytes written.
     Gate("checkpoint: SaveState / plain copy, reused buffers", ["L9/save"], "L9/copy", 0.7, SOFT),
+    Gate("checkpoint, every bucket occupied: SaveState / plain copy",
+         ["L9/save/dense"], "L9/copy/dense", 0.7, SOFT),
     # A TOPK costs about what its snapshot costs: parse and render add
     # little. Rendering the 100 lines with snprintf and string temporaries
     # read 0.08; to_chars into one buffer reads 0.31-0.32 (4-vCPU VM).

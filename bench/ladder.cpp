@@ -25,9 +25,12 @@
 //   L9 checkpoint      SaveState, Crc32 (the dispatched kernel, and the
 //                      table loop alone), WriteCheckpointAtomic and
 //                      LoadCheckpoint of a 32 MB HK-Minimum:d=4 (the size of
-//                      e2ebench caida-sharded's instance), against a plain
-//                      copy of the same bytes; SaveState and the copy reuse
-//                      one buffer, as hk_serve's checkpoints do
+//                      e2ebench caida-sharded's instance, mostly empty
+//                      buckets), against a plain copy of its slab; and
+//                      SaveState of the same sketch with every bucket
+//                      occupied (the encoder's worst case) against its own
+//                      copy. SaveState and the copies reuse one buffer, as
+//                      hk_serve's checkpoints do
 //
 // (hk_serve ingest, query latency under ingest and the wire are measured
 // end to end by e2ebench/.) The chain L0 -> L3 runs HK-Minimum:d=4 on a 4 MB,
@@ -38,9 +41,10 @@
 // cores pay. L5/L6 read one synthesized 1M-packet campus capture.
 //
 // Items are packets, except for L4/window/snapshot (one TopK(100) each),
-// L8 (queries) and L9 (blob bytes). Run settings are fixed here (3 interleaved
-// repetitions of >= 0.2 s each, medians reported), so a run needs only
-// --benchmark_out=<file> --benchmark_out_format=json. Captures and
+// L8 (queries) and L9 (slab bytes, whatever the blob's size). Run settings
+// are fixed here (3 interleaved repetitions of >= 0.2 s each, medians
+// reported), so a run needs only --benchmark_out=<file>
+// --benchmark_out_format=json. Captures and
 // checkpoint files live in a temp dir removed at exit.
 #include <benchmark/benchmark.h>
 #include <stdlib.h>
@@ -59,6 +63,7 @@
 #include "common/byte_io.h"
 #include "common/random.h"
 #include "core/heavykeeper.h"
+#include "core/hk_topk.h"
 #include "ingest/byte_source.h"
 #include "ingest/capture_synth.h"
 #include "ingest/pcap_reader.h"
@@ -88,8 +93,6 @@ constexpr size_t kBurst = 512;         // L0-L3 chain and the replayer's default
 constexpr size_t kStreamBurst = 4096;  // L4 whole-stream rows
 constexpr uint64_t kEpochPackets = 1'000'000;
 constexpr uint64_t kMouseWeight = 1000;
-// ServeCore::WriteCheckpoint reserves MemoryBytes() plus this much.
-constexpr size_t kStateSlackBytes = 64 * 1024;
 
 // A kPackets-long Zipf stream whose tail is deep (num_ranks = packets / 2,
 // so most flows are mice), generated once per (skew, seed).
@@ -532,6 +535,29 @@ const TopKAlgorithm& CheckpointSketch() {
   return *algo;
 }
 
+// The checkpoint sketch's geometry with every bucket occupied: the
+// encoder's worst case, a mask per 64 words on top of the slab.
+const TopKAlgorithm& DenseCheckpointSketch() {
+  static const std::unique_ptr<TopKAlgorithm> algo = [] {
+    auto built = Make("HK-Minimum:d=4", kCheckpointBytes);
+    HeavyKeeper& sketch = dynamic_cast<HeavyKeeperTopK<>&>(*built).sketch();
+    const auto occupy_all = [](std::span<uint8_t> slab) {
+      const uint32_t occupied = 0x00010001;  // fingerprint 1, count 1
+      for (size_t at = 0; at < slab.size(); at += sizeof(occupied)) {
+        std::memcpy(slab.data() + at, &occupied, sizeof(occupied));
+      }
+      return true;
+    };
+    sketch = *HeavyKeeper::Restore(sketch.config(), 0, 0, std::nullopt, occupy_all);
+    return built;
+  }();
+  return *algo;
+}
+
+std::span<const uint8_t> SlabOf(const TopKAlgorithm& algo) {
+  return dynamic_cast<const HeavyKeeperTopK<>&>(algo).sketch().SlabImage();
+}
+
 const std::vector<uint8_t>& CheckpointBlob() {
   static const std::vector<uint8_t> blob = [] {
     std::vector<uint8_t> out;
@@ -541,19 +567,21 @@ const std::vector<uint8_t>& CheckpointBlob() {
   return blob;
 }
 
-void SetBlobItems(benchmark::State& state) {
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(CheckpointBlob().size()));
+void SetSlabItems(benchmark::State& state, const TopKAlgorithm& algo = CheckpointSketch()) {
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(SlabOf(algo).size()));
 }
+
+using SketchFn = const TopKAlgorithm& (*)();
 
 // SaveState into a buffer reused across iterations, as
 // ServeCore::WriteCheckpoint reuses each instance's from one checkpoint to
 // the next (a fresh one would time first-touch page faults).
-void BM_Save(benchmark::State& state) {
-  const TopKAlgorithm& algo = CheckpointSketch();
+void BM_Save(benchmark::State& state, SketchFn sketch) {
+  const TopKAlgorithm& algo = sketch();
   std::vector<uint8_t> out;
   for (auto _ : state) {
     out.clear();
-    out.reserve(algo.MemoryBytes() + kStateSlackBytes);
+    out.reserve(StateReserveBytes(algo.MemoryBytes()));
     if (!algo.SaveState(&out)) {
       state.SkipWithError("SaveState failed");
       break;
@@ -561,22 +589,23 @@ void BM_Save(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
-  SetBlobItems(state);
+  SetSlabItems(state, algo);
 }
 
-// The denominator of L9/save: the same bytes copied into a reused buffer.
-void BM_Copy(benchmark::State& state) {
-  const TopKAlgorithm& algo = CheckpointSketch();
-  const std::vector<uint8_t>& blob = CheckpointBlob();
+// The denominator of L9/save: the sketch's slab copied into a reused
+// buffer, what SaveState cost when the blob was the slab image.
+void BM_Copy(benchmark::State& state, SketchFn sketch) {
+  const TopKAlgorithm& algo = sketch();
+  const std::span<const uint8_t> slab = SlabOf(algo);
   std::vector<uint8_t> out;
   for (auto _ : state) {
     out.clear();
-    out.reserve(algo.MemoryBytes() + kStateSlackBytes);
-    out.insert(out.end(), blob.begin(), blob.end());
+    out.reserve(StateReserveBytes(algo.MemoryBytes()));
+    out.insert(out.end(), slab.begin(), slab.end());
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
-  SetBlobItems(state);
+  SetSlabItems(state, algo);
 }
 
 using simd::Crc32Kernel;
@@ -588,7 +617,7 @@ void BM_Crc(benchmark::State& state, Crc32Kernel kernel) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(kernel(blob.data(), blob.size(), 0));
   }
-  SetBlobItems(state);
+  SetSlabItems(state);
 }
 
 const CheckpointManifest& LadderManifest() {
@@ -615,7 +644,7 @@ void BM_Write(benchmark::State& state) {
       break;
     }
   }
-  SetBlobItems(state);
+  SetSlabItems(state);
 }
 
 // Recovery's read: LoadCheckpoint of the file L9/write writes (written
@@ -635,7 +664,7 @@ void BM_Load(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(loaded.states.data());
   }
-  SetBlobItems(state);
+  SetSlabItems(state);
 }
 
 void RegisterRows() {
@@ -720,8 +749,15 @@ void RegisterRows() {
   RegisterBenchmark("L8/execute/topk", BM_Execute, &TopKRequests);
   RegisterBenchmark("L8/execute/point", BM_Execute, &PointRequests);
 
-  RegisterBenchmark("L9/copy", BM_Copy)->Unit(benchmark::kMillisecond)->UseRealTime();
-  RegisterBenchmark("L9/save", BM_Save)->Unit(benchmark::kMillisecond)->UseRealTime();
+  for (const auto& [suffix, sketch] :
+       {std::pair{"", &CheckpointSketch}, std::pair{"/dense", &DenseCheckpointSketch}}) {
+    RegisterBenchmark((std::string("L9/copy") + suffix).c_str(), BM_Copy, sketch)
+        ->Unit(benchmark::kMillisecond)
+        ->UseRealTime();
+    RegisterBenchmark((std::string("L9/save") + suffix).c_str(), BM_Save, sketch)
+        ->Unit(benchmark::kMillisecond)
+        ->UseRealTime();
+  }
   const Crc32Kernel dispatched = &Crc32;
   const Crc32Kernel table = &Crc32Table;
   RegisterBenchmark("L9/crc", BM_Crc, dispatched)->Unit(benchmark::kMillisecond)->UseRealTime();

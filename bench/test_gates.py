@@ -91,6 +91,13 @@ class GateTableTest(unittest.TestCase):
         self.assertEqual(status_of(gate, *setting(gate, 0.14)), "WARN")
         self.assertIn(["L8/snapshot/HK-Minimum", "L8/execute/topk"], gates.CHAINS)
 
+    def test_checkpoint_gates_cover_sparse_and_dense_states(self):
+        for suffix in ("", "/dense"):
+            gate = next(g for g in gates.GATES if g.num == [f"L9/save{suffix}"])
+            self.assertEqual(gate.den, f"L9/copy{suffix}")
+            self.assertFalse(gate.hard)
+            self.assertEqual(gate.threshold, 0.7)
+
     def test_soft_gates_only_warn(self):
         soft = [g for g in gates.GATES if not g.hard]
         self.assertTrue(soft)

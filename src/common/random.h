@@ -6,6 +6,7 @@
 #ifndef HK_COMMON_RANDOM_H_
 #define HK_COMMON_RANDOM_H_
 
+#include <array>
 #include <cstdint>
 
 namespace hk {
@@ -31,6 +32,11 @@ class SplitMix64 {
 // quality, and fast enough to sit on the per-packet decay path.
 class Rng {
  public:
+  // The four xoshiro words: the generator's whole position, so a saved
+  // State resumes the exact stream (a HeavyKeeper checkpoint carries its
+  // decay coins this way). All zero is the one State it never reaches.
+  using State = std::array<uint64_t, 4>;
+
   explicit Rng(uint64_t seed = 0x853c49e6748fea9bULL) { Seed(seed); }
 
   void Seed(uint64_t seed) {
@@ -52,6 +58,9 @@ class Rng {
     return result;
   }
 
+  const State& state() const { return s_; }
+  void set_state(const State& state) { s_ = state; }
+
   // Uniform double in [0, 1).
   double NextDouble() { return static_cast<double>(NextU64() >> 11) * 0x1.0p-53; }
 
@@ -64,7 +73,7 @@ class Rng {
  private:
   static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
-  uint64_t s_[4];
+  State s_;
 };
 
 }  // namespace hk

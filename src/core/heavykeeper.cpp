@@ -85,14 +85,11 @@ void HeavyKeeper::PrepareBatch(const FlowId* ids, size_t n, Prepared* out) const
 }
 
 std::optional<HeavyKeeper> HeavyKeeper::Restore(const HeavyKeeperConfig& config,
-                                                std::span<const uint8_t> image,
-                                                uint64_t stuck_events, uint64_t expansions) {
+                                                uint64_t stuck_events, uint64_t expansions,
+                                                const std::optional<Rng::State>& rng,
+                                                const SlabFill& fill) {
   HeavyKeeper sketch(config);
   if (expansions > kMaxPreparedArrays - sketch.rows_) {
-    return std::nullopt;
-  }
-  const size_t rows = sketch.rows_ + expansions;
-  if (image.size() != rows * sketch.config_.w * sketch.word_bytes_) {
     return std::nullopt;
   }
   // Replay the expansion seed chain so added arrays hash identically.
@@ -100,9 +97,14 @@ std::optional<HeavyKeeper> HeavyKeeper::Restore(const HeavyKeeperConfig& config,
     sketch.hashes_.Add(sketch.next_array_seed_);
     sketch.next_array_seed_ = Mix64(sketch.next_array_seed_ + 1);
   }
-  sketch.rows_ = rows;
-  sketch.slab_.Resize(image.size());
-  std::memcpy(sketch.slab_.data(), image.data(), image.size());
+  sketch.rows_ += expansions;
+  sketch.slab_.Resize(sketch.rows_ * sketch.config_.w * sketch.word_bytes_);
+  if (!fill({sketch.slab_.data(), sketch.slab_.size()})) {
+    return std::nullopt;
+  }
+  if (rng.has_value()) {
+    sketch.rng_.set_state(*rng);
+  }
   sketch.stuck_events_ = stuck_events;
   sketch.expansions_ = expansions;
   sketch.RefreshPrepareParams();

@@ -46,6 +46,7 @@
 #define HK_CORE_HEAVYKEEPER_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -276,18 +277,27 @@ class HeavyKeeper {
   uint32_t FingerprintOf(FlowId id) const { return fingerprint_(id); }
 
   // The packed slab as bytes: num_arrays() * width() words of
-  // config().BucketBytes() each, array-major. This is the serialization v2
-  // payload (core/serialization.h), so a snapshot copies it verbatim.
+  // config().BucketBytes() each, array-major; what a snapshot encodes
+  // (core/serialization.h).
   std::span<const uint8_t> SlabImage() const {
     return {slab_.data(), rows_ * config_.w * word_bytes_};
   }
 
+  // Where the decay coin stream stands; a snapshot saves it so a restored
+  // sketch flips the coins this one would have.
+  const Rng::State& rng_state() const { return rng_.state(); }
+
   // Rebuild a sketch from snapshotted state (see core/serialization.h):
-  // `image` is a SlabImage() of config.d + expansions arrays, copied into
-  // the slab as is. nullopt when its size does not match that geometry.
-  static std::optional<HeavyKeeper> Restore(const HeavyKeeperConfig& config,
-                                            std::span<const uint8_t> image, uint64_t stuck_events,
-                                            uint64_t expansions);
+  // config.d + expansions arrays, handed zeroed to `fill`, which writes the
+  // slab image into them (returning false refuses it, and Restore returns
+  // nullopt), and the decay RNG at `rng`, or at the config seed's start
+  // when the snapshot has none. nullopt too when expansions exceed the
+  // array limit.
+  using SlabFill = std::function<bool(std::span<uint8_t> slab)>;
+  static std::optional<HeavyKeeper> Restore(const HeavyKeeperConfig& config, uint64_t stuck_events,
+                                            uint64_t expansions,
+                                            const std::optional<Rng::State>& rng,
+                                            const SlabFill& fill);
 
  private:
   template <typename W>

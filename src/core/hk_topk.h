@@ -291,15 +291,16 @@ class HeavyKeeperTopK : public TopKAlgorithm {
     return sketch_.MemoryBytes() + k_ * LazyTopKStore::BytesPerEntry(key_bytes_);
   }
 
-  // Checkpoint blob: the magic-guarded sketch snapshot (serialization v2)
-  // plus the candidate-store entries. The decay RNG restarts from the
-  // config seed on load (core/serialization.h precedent). The snapshot is
-  // written in place, so the slab is copied once, straight into `out`.
+  // Checkpoint blob: the magic-guarded sketch snapshot (core/serialization.h,
+  // decay RNG included) plus the candidate-store entries, sorted by id so
+  // that a state saves to one byte string. The snapshot is encoded in
+  // place, in one pass over the slab, straight into `out`.
   bool SaveState(std::vector<uint8_t>* out) const override {
     const size_t sketch_blob = ByteBeginBlob(*out);
     AppendSerializedSketch(sketch_, out);
     ByteEndBlob(*out, sketch_blob);
-    const std::vector<FlowCount> entries = store_.Entries();
+    std::vector<FlowCount> entries = store_.Entries();
+    std::ranges::sort(entries, {}, &FlowCount::id);
     ByteAppend(*out, static_cast<uint64_t>(entries.size()));
     for (const FlowCount& e : entries) {
       ByteAppend(*out, e.id);
@@ -326,7 +327,8 @@ class HeavyKeeperTopK : public TopKAlgorithm {
         theirs.decay_function != mine.decay_function ||
         theirs.fingerprint_bits != mine.fingerprint_bits ||
         theirs.counter_bits != mine.counter_bits || theirs.seed != mine.seed ||
-        theirs.expansion_threshold != mine.expansion_threshold) {
+        theirs.expansion_threshold != mine.expansion_threshold ||
+        theirs.max_arrays != mine.max_arrays) {
       return false;
     }
     uint64_t n = 0;

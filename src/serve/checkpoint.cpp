@@ -10,6 +10,7 @@
 #include <cstring>
 
 #include "common/byte_io.h"
+#include "core/serialization.h"
 #include "ingest/pcap_reader.h"
 #include "telemetry/telemetry.h"
 
@@ -182,6 +183,11 @@ bool DecodePayload(const uint8_t* data, size_t size, CheckpointManifest* out,
 }
 
 }  // namespace
+
+size_t StateReserveBytes(size_t memory_bytes) {
+  constexpr size_t kSlackBytes = 64 * 1024;
+  return SerializedSketchBound(memory_bytes) + kSlackBytes;
+}
 
 std::vector<uint8_t> EncodeCheckpoint(const CheckpointManifest& manifest) {
   const PayloadEncoder payload(manifest);

@@ -70,6 +70,13 @@ bool DecodeCheckpoint(const uint8_t* data, size_t size, CheckpointManifest* out,
                       std::vector<std::span<const uint8_t>>* states,
                       std::string* error = nullptr);
 
+// What to reserve for the SaveState blob of an instance whose MemoryBytes()
+// is `memory_bytes`: the HeavyKeeper encoding's bound for that many slab
+// bytes (SerializedSketchBound, reached when every bucket is occupied) plus
+// slack for headers, length slots and candidate entries. A state buffer
+// reused across checkpoints so never reallocates.
+size_t StateReserveBytes(size_t memory_bytes);
+
 // Atomic write: <path>.tmp + fsync + rename + directory fsync. False on
 // any I/O failure (the temp file is removed best-effort).
 bool WriteCheckpointAtomic(const std::string& path, const CheckpointManifest& manifest,

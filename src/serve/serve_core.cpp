@@ -143,11 +143,6 @@ std::unique_ptr<TopKAlgorithm> BuildSketch(const std::string& spec, const Sketch
   return nullptr;
 }
 
-// SaveState writes a little more than MemoryBytes() charges (headers,
-// length slots, candidate entries); reserving this much on top lets one
-// allocation hold a whole state blob.
-constexpr size_t kStateSlackBytes = 64 * 1024;
-
 }  // namespace
 
 bool ParseAttachArgs(const std::vector<std::string>& args, size_t first, SourceBinding* out,
@@ -488,7 +483,7 @@ bool ServeCore::WriteCheckpoint(std::string* err) {
       // change only under mu.
       std::lock_guard<std::mutex> inst_lock(inst->mu);
       inst->algo->Flush();
-      entry.state.reserve(inst->algo->MemoryBytes() + kStateSlackBytes);
+      entry.state.reserve(StateReserveBytes(inst->algo->MemoryBytes()));
       saved = inst->algo->SaveState(&entry.state);
       if (!saved) {
         *err = "instance '" + inst->name + "' (" + inst->algo->name() +

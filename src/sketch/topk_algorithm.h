@@ -193,10 +193,10 @@ class TopKAlgorithm {
   // query-visible state: loading the blob into a freshly constructed
   // instance of the *identical spec* (MakeSketch(name()) with the same
   // defaults and seed) must make Snapshot(kExact), TopK, and EstimateSize
-  // answer as the saved instance did. RNG position is deliberately not
-  // captured: decay coins restart from the config seed, which is the
-  // serialization v2 precedent (statistically identical, bit-identical
-  // whenever no randomized transition runs).
+  // answer as the saved instance did. The HeavyKeeper pipelines also save
+  // their decay RNG's position (core/serialization.h), so a restored sketch
+  // flips the coins the saved one would have; other sketches' RNGs restart
+  // from the config seed.
   //
   // Both default to "not supported" (return false, out untouched); the
   // registry round-trip sweep in tests/serve_checkpoint_test.cpp fails on

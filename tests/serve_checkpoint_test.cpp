@@ -4,15 +4,17 @@
 // rejects every species of corruption a crash can mint (torn tail,
 // truncation, bit flips, foreign bytes) instead of loading garbage; (3)
 // the bytes on disk are pinned: Crc32 and both of its kernels equal the
-// bitwise definition, and a committed checkpoint file is reproduced byte
-// for byte by both writers.
+// bitwise definition, a committed checkpoint file is reproduced byte for
+// byte by both writers, and one in the older sketch format still restores.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -23,6 +25,7 @@
 
 #include "common/byte_io.h"
 #include "common/random.h"
+#include "core/hk_topk.h"
 #include "ingest/pcap_reader.h"
 #include "serve/checkpoint.h"
 #include "simd/crc32_fold.h"
@@ -457,12 +460,15 @@ TEST(CheckpointFile, MissingFileReportsOpenError) {
 }
 
 // ---------------------------------------------------------------------------
-// Format pin. tests/data/checkpoint_golden.hkc was written by the original
-// encoder (bitwise Crc32, bucket-by-bucket sketch serialization) from the
-// manifest GoldenManifest() builds: 4-byte and 8-byte slab words, a sharded
-// and a windowed wrapper, each fed the committed campus fixture. Every
-// later encoder must reproduce it byte for byte. Regenerate only when the
-// format changes on purpose:
+// Format pins, both from the manifest ReplayGolden() builds: 4-byte and
+// 8-byte slab words, a sharded and a windowed wrapper, each fed the
+// committed campus fixture. tests/data/checkpoint_golden.hkc was written by
+// the original encoder (bitwise Crc32, bucket-by-bucket sketch
+// serialization) in sketch format v2, which nothing writes any more: it
+// pins what recovery still loads. tests/data/checkpoint_golden_v3.hkc holds
+// the same states in format v3 (occupied buckets and the decay RNG), and
+// both writers must reproduce it byte for byte. Regenerate it (never the
+// v2 file) only when the format changes on purpose:
 //   HK_WRITE_GOLDENS=1 ./hk_tests --gtest_filter='CheckpointGolden*'
 
 constexpr const char* kGoldenSpecs[][2] = {
@@ -473,6 +479,9 @@ constexpr const char* kGoldenSpecs[][2] = {
 };
 
 std::string GoldenPath() { return std::string(HK_TEST_DATA_DIR) + "/checkpoint_golden.hkc"; }
+std::string GoldenV3Path() {
+  return std::string(HK_TEST_DATA_DIR) + "/checkpoint_golden_v3.hkc";
+}
 
 struct GoldenReplay {
   CheckpointManifest manifest;
@@ -514,13 +523,13 @@ TEST(CheckpointGolden, EncoderReproducesCommittedFile) {
   const GoldenReplay replay = ReplayGolden();
   const std::vector<uint8_t> encoded = EncodeCheckpoint(replay.manifest);
   if (std::getenv("HK_WRITE_GOLDENS") != nullptr) {
-    WriteFileBytes(GoldenPath(), encoded);
-    GTEST_SKIP() << "rewrote " << GoldenPath();
+    WriteFileBytes(GoldenV3Path(), encoded);
+    GTEST_SKIP() << "rewrote " << GoldenV3Path();
   }
-  const std::vector<uint8_t> golden = ReadFileBytes(GoldenPath());
-  ASSERT_FALSE(golden.empty()) << "missing " << GoldenPath();
+  const std::vector<uint8_t> golden = ReadFileBytes(GoldenV3Path());
+  ASSERT_FALSE(golden.empty()) << "missing " << GoldenV3Path();
   EXPECT_LE(golden.size(), 64u * 1024);
-  EXPECT_TRUE(encoded == golden) << "EncodeCheckpoint diverged from " << GoldenPath();
+  EXPECT_TRUE(encoded == golden) << "EncodeCheckpoint diverged from " << GoldenV3Path();
 }
 
 TEST(CheckpointGolden, AtomicWriterReproducesCommittedFile) {
@@ -530,8 +539,8 @@ TEST(CheckpointGolden, AtomicWriterReproducesCommittedFile) {
   ASSERT_TRUE(WriteCheckpointAtomic(path, replay.manifest, &err)) << err;
   const std::vector<uint8_t> written = ReadFileBytes(path);
   std::remove(path.c_str());
-  EXPECT_TRUE(written == ReadFileBytes(GoldenPath()))
-      << "WriteCheckpointAtomic diverged from " << GoldenPath();
+  EXPECT_TRUE(written == ReadFileBytes(GoldenV3Path()))
+      << "WriteCheckpointAtomic diverged from " << GoldenV3Path();
 }
 
 TEST(CheckpointGolden, CommittedFileRestoresTheReplay) {
@@ -557,6 +566,156 @@ TEST(CheckpointGolden, CommittedFileRestoresTheReplay) {
     ASSERT_FALSE(want.flows.empty()) << entry.spec;
     EXPECT_EQ(got.flows, want.flows) << entry.spec;
     EXPECT_EQ(got.stats.tracked_flows, want.stats.tracked_flows) << entry.spec;
+  }
+}
+
+SketchDefaults DefaultsOf(const CheckpointInstance& entry) {
+  SketchDefaults defaults;
+  defaults.memory_bytes = entry.memory_bytes;
+  defaults.k = entry.k;
+  defaults.key_kind = static_cast<KeyKind>(entry.key_kind);
+  defaults.seed = entry.seed;
+  return defaults;
+}
+
+TEST(CheckpointGolden, CommittedV3FileRestoresTheReplayExactly) {
+  // v3 carries every bit of a HeavyKeeper's state, the decay RNG included:
+  // each restored instance saves the very bytes it was loaded from.
+  const GoldenReplay replay = ReplayGolden();
+  LoadedCheckpoint loaded;
+  std::string err;
+  ASSERT_TRUE(LoadCheckpoint(GoldenV3Path(), &loaded, &err)) << err;
+  ASSERT_EQ(loaded.manifest.instances.size(), replay.algos.size());
+  QueryOptions exact;
+  exact.k = 50;
+  for (size_t i = 0; i < replay.algos.size(); ++i) {
+    const CheckpointInstance& entry = loaded.manifest.instances[i];
+    auto restored = MakeSketch(entry.spec, DefaultsOf(entry));
+    ASSERT_TRUE(restored->LoadState(loaded.states[i].data(), loaded.states[i].size()))
+        << entry.spec;
+    std::vector<uint8_t> resaved;
+    ASSERT_TRUE(restored->SaveState(&resaved));
+    EXPECT_TRUE(std::ranges::equal(resaved, loaded.states[i])) << entry.spec;
+    EXPECT_EQ(restored->Snapshot(exact).flows, replay.algos[i]->Snapshot(exact).flows)
+        << entry.spec;
+  }
+}
+
+TEST(CheckpointGolden, MutatedStatesLoadCanonicallyOrAreRefused) {
+  // Seeded byte flips, truncations and extensions of the replay's states.
+  // Each must be refused, or load into an instance whose saved state is
+  // canonical: it loads again and saves to the same bytes. None may crash
+  // (the sanitizer build runs this too).
+  const GoldenReplay replay = ReplayGolden();
+  Rng rng(2501);
+  size_t loaded = 0;
+  for (int i = 0; i < 5000; ++i) {
+    const CheckpointInstance& entry =
+        replay.manifest.instances[rng.NextBounded(replay.manifest.instances.size())];
+    std::vector<uint8_t> state = entry.state;
+    switch (rng.NextBounded(3)) {
+      case 0:
+        state[rng.NextBounded(state.size())] ^= static_cast<uint8_t>(1 + rng.NextBounded(255));
+        break;
+      case 1:
+        state.resize(rng.NextBounded(state.size()));
+        break;
+      default:
+        state.resize(state.size() + 1 + rng.NextBounded(16), static_cast<uint8_t>(rng.NextU64()));
+        break;
+    }
+    auto algo = MakeSketch(entry.spec, DefaultsOf(entry));
+    if (!algo->LoadState(state.data(), state.size())) {
+      continue;
+    }
+    ++loaded;
+    std::vector<uint8_t> saved;
+    ASSERT_TRUE(algo->SaveState(&saved)) << entry.spec << " mutation " << i;
+    auto again = MakeSketch(entry.spec, DefaultsOf(entry));
+    ASSERT_TRUE(again->LoadState(saved.data(), saved.size())) << entry.spec << " mutation " << i;
+    std::vector<uint8_t> resaved;
+    ASSERT_TRUE(again->SaveState(&resaved));
+    ASSERT_TRUE(resaved == saved) << entry.spec << " mutation " << i;
+  }
+  // Flips inside counts, ids and the RNG words leave valid states.
+  EXPECT_GT(loaded, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// HeavyKeeper states: one byte string per state, and room reserved for it.
+
+class HkCheckpointRoundTrip : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(HkCheckpointRoundTrip, SaveLoadSaveIsByteIdentical) {
+  const SketchDefaults defaults = SmallDefaults();
+  auto saved = MakeSketch(GetParam(), defaults);
+  const Trace trace = MakeCampusTrace(50000, 5);
+  saved->InsertBatch(trace.packets);
+  saved->Flush();
+  std::vector<uint8_t> blob;
+  ASSERT_TRUE(saved->SaveState(&blob));
+  auto loaded = MakeSketch(GetParam(), defaults);
+  ASSERT_TRUE(loaded->LoadState(blob.data(), blob.size()));
+  std::vector<uint8_t> again;
+  ASSERT_TRUE(loaded->SaveState(&again));
+  EXPECT_TRUE(again == blob);
+  QueryOptions exact;
+  exact.k = 30;
+  EXPECT_EQ(loaded->Snapshot(exact).flows, saved->Snapshot(exact).flows);
+}
+
+// Besides every registered HK name: the vector probe's d=4, 8-byte words,
+// and the wrappers over HK.
+constexpr const char* kMoreHkSpecs[] = {
+    "HK-Minimum:d=4",
+    "HK-Parallel:fp=24",
+    "Sharded:n=4,inner=HK-Minimum",
+    "Window:w=4,epoch=15000,inner=HK-Minimum",
+};
+
+std::vector<std::string> HkCheckpointSpecs() {
+  std::vector<std::string> specs;
+  for (const std::string& name : RegisteredSketches()) {
+    if (name.rfind("HK-", 0) == 0) {
+      specs.push_back(name);
+    }
+  }
+  specs.insert(specs.end(), std::begin(kMoreHkSpecs), std::end(kMoreHkSpecs));
+  return specs;
+}
+
+INSTANTIATE_TEST_SUITE_P(HeavyKeeper, HkCheckpointRoundTrip,
+                         ::testing::ValuesIn(HkCheckpointSpecs()), [](const auto& info) {
+                           std::string s = info.param;
+                           for (auto& c : s) {
+                             if (std::isalnum(static_cast<unsigned char>(c)) == 0) {
+                               c = '_';
+                             }
+                           }
+                           return s;
+                         });
+
+TEST(StateReserve, FullyOccupiedStateFitsWithoutReallocating) {
+  // 4 MB of occupied buckets: the encoding's masks (1/32 of the slab)
+  // outgrow any fixed slack, so the reserve must come from the bound.
+  for (const std::string spec : {"HK-Minimum:mem=4MB", "HK-Parallel:fp=24,mem=4MB"}) {
+    auto algo = MakeSketch(spec, SmallDefaults());
+    HeavyKeeper& sketch = dynamic_cast<HeavyKeeperTopK<>&>(*algo).sketch();
+    const HeavyKeeperConfig config = sketch.config();
+    const auto occupy_all = [&](std::span<uint8_t> slab) {
+      const uint64_t occupied = uint64_t{1} << config.counter_bits | 1;  // fp 1, count 1
+      for (size_t at = 0; at < slab.size(); at += config.BucketBytes()) {
+        std::memcpy(slab.data() + at, &occupied, config.BucketBytes());
+      }
+      return true;
+    };
+    sketch = *HeavyKeeper::Restore(config, 0, 0, std::nullopt, occupy_all);
+    std::vector<uint8_t> state;
+    state.reserve(StateReserveBytes(algo->MemoryBytes()));
+    const uint8_t* const buffer = state.data();
+    ASSERT_TRUE(algo->SaveState(&state)) << spec;
+    EXPECT_EQ(state.data(), buffer) << spec << " reallocated";
+    EXPECT_GT(state.size(), sketch.SlabImage().size() + 64 * 1024) << spec;
   }
 }
 

@@ -4,8 +4,10 @@
 # checkpointing on, query it over the socket with hk_cli, SIGKILL it,
 # restart from the checkpoint, and assert the recovered daemon answers
 # identically - the file-backed source replays with the applied prefix
-# skipped, so a kill loses nothing. On the way it checks the daemon's
-# limits: an overlong request line, the 256-connection cap, that
+# skipped, so a kill loses nothing. A mostly empty 4 MB HeavyKeeper rides
+# along, so recovery decodes the sparse sketch format, and the checkpoint
+# must take less than half that instance's memory. On the way it checks
+# the daemon's limits: an overlong request line, the 256-connection cap, that
 # thousands of short connections do not grow its address space, and that
 # a threaded Sharded burst= far past its ring neither kills the daemon nor
 # loses packets; and that a drained threaded Sharded instance leaves the
@@ -51,16 +53,19 @@ start_daemon() {
 query() { "$HK_CLI" query --port "$PORT" "$@"; }
 
 wait_ingest_done() {
+  # $1 = instance name
   for _ in $(seq 1 100); do
-    if query "STATS campus" | grep -q "STAT ingest_done 1"; then return 0; fi
+    if query "STATS $1" | grep -q "STAT ingest_done 1"; then return 0; fi
     sleep 0.1
   done
-  echo "ingest never finished"; query "STATS campus"; exit 1
+  echo "ingest never finished"; query "STATS $1"; exit 1
 }
 
 echo "== first run: ingest the fixture, checkpoint, query =="
-start_daemon --create "campus=SS:mem=24KB" --attach "campus=$FIXTURE,key=5tuple"
-wait_ingest_done
+start_daemon --create "campus=SS:mem=24KB" --attach "campus=$FIXTURE,key=5tuple" \
+  --create "sparse=HK-Minimum:mem=4MB" --attach "sparse=$FIXTURE,key=5tuple"
+wait_ingest_done campus
+wait_ingest_done sparse
 
 query "PING" | grep -qx "OK pong"
 query "LIST" | grep -q "^INSTANCE campus "
@@ -70,8 +75,17 @@ PACKETS_BEFORE="$(sed -n 's/^STAT packets_applied //p' "$WORK/stats_before.txt")
 [ "$PACKETS_BEFORE" -gt 0 ] || { echo "no packets ingested"; exit 1; }
 query "TOPK campus 10 exact" > "$WORK/topk_before.txt"
 grep -q "^FLOW " "$WORK/topk_before.txt"
+query "TOPK sparse 10 exact" > "$WORK/sparse_before.txt"
+grep -q "^FLOW " "$WORK/sparse_before.txt"
 query "CHECKPOINT" | grep -q "^OK checkpoint "
 [ -f "$CKPT" ] || { echo "checkpoint file not written"; exit 1; }
+# The fixture fills few of the sparse instance's buckets, and a checkpoint
+# stores only the occupied ones.
+SPARSE_MEMORY="$(query "STATS sparse" | sed -n 's/^STAT memory_bytes //p')"
+CKPT_BYTES="$(stat -c %s "$CKPT")"
+echo "checkpoint: $CKPT_BYTES bytes, sparse instance memory_bytes $SPARSE_MEMORY"
+[ "$CKPT_BYTES" -lt $(( SPARSE_MEMORY / 2 )) ] || {
+  echo "checkpoint of $CKPT_BYTES bytes is not under half of $SPARSE_MEMORY"; exit 1; }
 
 echo "== one write of 100 POINTs, TOPK 10 and QUIT: 101 replies in order, then OK bye =="
 # The daemon answers a pipelined burst with one send; the replies must be
@@ -228,7 +242,7 @@ P1="$(sed -n 's/^hk_ingest_packets_total{instance="shard"} //p' "$WORK/metrics2.
 query "DROP shard" | grep -qx "OK dropped shard"
 query "DROP win" | grep -qx "OK dropped win"
 # A periodic checkpoint may have captured the extra instances; rewrite the
-# manifest so the recovery section below still sees exactly one.
+# manifest so the recovery section below sees exactly campus and sparse.
 query "CHECKPOINT" | grep -q "^OK checkpoint "
 
 echo "== SIGKILL the daemon =="
@@ -238,9 +252,10 @@ SERVE_PID=""
 
 echo "== restart: recover from the checkpoint =="
 start_daemon
-grep -q "recovered 1 instance" "$WORK/serve.log" || {
+grep -q "recovered 2 instance" "$WORK/serve.log" || {
   echo "recovery not reported"; cat "$WORK/serve.log"; exit 1; }
-wait_ingest_done
+wait_ingest_done campus
+wait_ingest_done sparse
 
 query "TOPK campus 10 exact" > "$WORK/topk_after.txt"
 PACKETS_AFTER="$(query "STATS campus" | sed -n 's/^STAT packets_applied //p')"
@@ -249,6 +264,9 @@ PACKETS_AFTER="$(query "STATS campus" | sed -n 's/^STAT packets_applied //p')"
   echo "packet offset lost across the kill: $PACKETS_BEFORE vs $PACKETS_AFTER"; exit 1; }
 diff "$WORK/topk_before.txt" "$WORK/topk_after.txt" || {
   echo "recovered TOPK differs from the pre-kill answer"; exit 1; }
+query "TOPK sparse 10 exact" > "$WORK/sparse_after.txt"
+diff "$WORK/sparse_before.txt" "$WORK/sparse_after.txt" || {
+  echo "recovered sparse TOPK differs from the pre-kill answer"; exit 1; }
 
 echo "== clean shutdown over the wire =="
 query "SHUTDOWN" | grep -q "^OK shutting down"
