@@ -60,8 +60,7 @@ GATES = [
     # Soft until CI has a runner with >= 4 free cores.
     Gate("sharded: n=8 / n=1", ["L4/sharded/n:8"], "L4/sharded/n:1", 3.5, SOFT),
     Gate("window: w=8 / bare inner", ["L4/window/w:8"], "L4/window/inner", 0.5, SOFT),
-    Gate("parse: stream / slurp", ["L5/parse/stream"], "L5/parse/slurp", 0.5, SOFT),
-    Gate("parse / HK-Minimum replay", ["L5/parse/slurp"], "L6/replay/HK-Minimum", 1.0, SOFT),
+    Gate("parse / HK-Minimum replay", ["L5/parse"], "L6/replay/HK-Minimum", 1.0, SOFT),
     # Parse overlapped with apply: replay at >= 0.8x the slower of its two
     # halves, which is apply here (serial, it read ~0.58).
     Gate("replay / apply alone, HK-Minimum", ["L6/replay/HK-Minimum"], "L6/apply/HK-Minimum",
@@ -87,7 +86,7 @@ CHAINS = [
 ] + [
     # Replay overlaps parse with apply, so its delta over apply alone is
     # what the overlap fails to hide.
-    ["L5/parse/slurp", "L6/apply/HK-Minimum", "L6/replay/HK-Minimum"],
+    ["L5/parse", "L6/apply/HK-Minimum", "L6/replay/HK-Minimum"],
     # Execute's delta over the snapshot is parse, locks and rendering.
     ["L8/snapshot/HK-Minimum", "L8/execute/topk"],
 ]

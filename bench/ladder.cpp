@@ -11,8 +11,7 @@
 //                      ring over one inner, whole stream + Flush per
 //                      iteration, so queued work is paid for, after one
 //                      untimed pass
-//   L5 pcap parse      PcapReader::NextBatch over a slurped capture and
-//                      over a file stream
+//   L5 pcap parse      PcapReader::Open + NextBatch over a file stream
 //   L6 replay          the capture's ids applied alone (parsed beforehand),
 //                      and TraceReplayer over the capture, which parses on
 //                      a second thread while it applies
@@ -64,7 +63,6 @@
 #include "common/random.h"
 #include "core/heavykeeper.h"
 #include "core/hk_topk.h"
-#include "ingest/byte_source.h"
 #include "ingest/capture_synth.h"
 #include "ingest/pcap_reader.h"
 #include "ingest/trace_replayer.h"
@@ -347,28 +345,12 @@ uint64_t ParseAll(PcapReader& reader, FlowId* sink) {
   return packets;
 }
 
-void BM_ParseSlurp(benchmark::State& state) {
-  PcapReader reader(PcapKeyPolicy::kFiveTuple);
-  if (!reader.Open(CapturePath())) {
-    state.SkipWithError(reader.error().c_str());
-    return;
-  }
-  uint64_t packets = 0;
-  FlowId sink = 0;
-  for (auto _ : state) {
-    reader.Rewind();
-    packets += ParseAll(reader, &sink);
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(static_cast<int64_t>(packets));
-}
-
-void BM_ParseStream(benchmark::State& state) {
+void BM_Parse(benchmark::State& state) {
   uint64_t packets = 0;
   FlowId sink = 0;
   for (auto _ : state) {
     PcapReader reader(PcapKeyPolicy::kFiveTuple);
-    if (!reader.OpenStream(MakeFileByteSource(CapturePath()))) {
+    if (!reader.Open(CapturePath())) {
       state.SkipWithError(reader.error().c_str());
       return;
     }
@@ -435,18 +417,17 @@ void BM_ApplyCapture(benchmark::State& state, std::string spec) {
 }
 
 void BM_Replay(benchmark::State& state, std::string spec, bool byte_weighted) {
-  PcapReader reader(PcapKeyPolicy::kFiveTuple);
-  if (!reader.Open(CapturePath())) {
-    state.SkipWithError(reader.error().c_str());
-    return;
-  }
   auto algo = Make(spec, kReplayBytes, KeyKind::kFiveTuple13B);
   ReplayOptions options;
   options.byte_weighted = byte_weighted;
   const TraceReplayer replayer(options);
   uint64_t packets = 0;
   for (auto _ : state) {
-    reader.Rewind();
+    PcapReader reader(PcapKeyPolicy::kFiveTuple);
+    if (!reader.Open(CapturePath())) {
+      state.SkipWithError(reader.error().c_str());
+      return;
+    }
     packets += replayer.Replay(reader, *algo).packets;
   }
   state.SetItemsProcessed(static_cast<int64_t>(packets));
@@ -726,8 +707,7 @@ void RegisterRows() {
       ->Unit(benchmark::kMillisecond);
   RegisterBenchmark("L4/window/snapshot", BM_WindowSnapshot)->Unit(benchmark::kMillisecond);
 
-  RegisterBenchmark("L5/parse/slurp", BM_ParseSlurp)->Unit(benchmark::kMillisecond);
-  RegisterBenchmark("L5/parse/stream", BM_ParseStream)->Unit(benchmark::kMillisecond);
+  RegisterBenchmark("L5/parse", BM_Parse)->Unit(benchmark::kMillisecond);
   RegisterBenchmark("L6/apply/HK-Minimum", BM_ApplyCapture, "HK-Minimum")
       ->Unit(benchmark::kMillisecond)
       ->UseRealTime();

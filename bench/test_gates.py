@@ -91,6 +91,15 @@ class GateTableTest(unittest.TestCase):
         self.assertEqual(status_of(gate, *setting(gate, 0.14)), "WARN")
         self.assertIn(["L8/snapshot/HK-Minimum", "L8/execute/topk"], gates.CHAINS)
 
+    def test_parse_gate_reads_the_one_parse_row(self):
+        gate = next(g for g in gates.GATES if g.num == ["L5/parse"])
+        self.assertEqual(gate.den, "L6/replay/HK-Minimum")
+        self.assertFalse(gate.hard)
+        self.assertIn(["L5/parse", "L6/apply/HK-Minimum", "L6/replay/HK-Minimum"], gates.CHAINS)
+        rows = [ref for g in gates.GATES for ref in g.num + [g.den]]
+        rows += [row for chain in gates.CHAINS for row in chain]
+        self.assertEqual([r for r in rows if isinstance(r, str) and r.startswith("L5/parse/")], [])
+
     def test_checkpoint_gates_cover_sparse_and_dense_states(self):
         for suffix in ("", "/dense"):
             gate = next(g for g in gates.GATES if g.num == [f"L9/save{suffix}"])

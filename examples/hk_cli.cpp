@@ -41,6 +41,8 @@
 // reports per N-ms capture-time window instead (a one-slot Window ring;
 // --window W keeps W of them and ends with their sliding top-k). Window
 // keeps only synchronous inners, so a threaded --algo is refused there.
+// The oracle report opens the capture twice (oracle, then replay), so
+// `--pcap -` (stdin) is accepted only with --epoch-ms, which reads once.
 #include <unistd.h>
 
 #include <algorithm>
@@ -283,6 +285,12 @@ int Ingest(const Options& opts) {
     std::fprintf(stderr, "ingest requires --pcap\n");
     return 2;
   }
+  if (opts.pcap_path == "-" && opts.epoch_ms == 0) {
+    std::fprintf(stderr,
+                 "ingest reads --pcap twice (the exact oracle, then the replay), and stdin "
+                 "cannot be read twice: pass a file, or --epoch-ms, which reads once\n");
+    return 2;
+  }
   PcapKeyPolicy policy = PcapKeyPolicy::kFiveTuple;
   if (!opts.key.empty() && !ParsePcapKeyPolicy(opts.key, &policy)) {
     std::fprintf(stderr, "--key must be 5tuple, pair or src (got '%s')\n", opts.key.c_str());
@@ -383,7 +391,12 @@ int Ingest(const Options& opts) {
                  reader.error().c_str());
   }
   const IngestStats parse_stats = reader.stats();
-  reader.Rewind();
+  // Pass 2 reads the capture again from its start.
+  if (!reader.Open(opts.pcap_path)) {
+    std::fprintf(stderr, "failed to reopen %s: %s\n", opts.pcap_path.c_str(),
+                 reader.error().c_str());
+    return 1;
+  }
 
   const ReplayStats stats = replayer.Replay(reader, *algo);
   // Snapshot quiesces (kExact): the replay may have fed a threaded

@@ -64,8 +64,10 @@ class BufferByteSource final : public ByteSource {
 
   size_t Read(uint8_t* out, size_t max_bytes) override {
     const size_t n = std::min({max_bytes, chunk_, data_.size() - pos_});
-    std::memcpy(out, data_.data() + pos_, n);
-    pos_ += n;
+    if (n > 0) {  // an empty buffer's data() may be null, which memcpy must not get
+      std::memcpy(out, data_.data() + pos_, n);
+      pos_ += n;
+    }
     return n;
   }
 

@@ -1,12 +1,12 @@
-// ByteSource: a pull-based byte stream feeding PcapReader's streaming
-// mode and the hk_serve ingest loop.
+// ByteSource: the pull-based byte stream PcapReader reads every capture
+// from, in hk_serve's ingest loop and everywhere else.
 //
 // Read() blocks until at least one byte is available and returns the
 // number of bytes copied out, never waiting for more than that; 0 means
 // end-of-stream or error, and ok() distinguishes the two. Two
 // implementations: a file descriptor (a path opened for reading, stdin via
-// "-", pipes, TCP sockets), and an in-memory buffer that tests use with
-// tiny chunk sizes to force refill boundaries at every offset.
+// "-", pipes, TCP sockets), and an in-memory buffer, which tests hand over
+// whole or in tiny chunks to force refill boundaries at every offset.
 #ifndef HK_INGEST_BYTE_SOURCE_H_
 #define HK_INGEST_BYTE_SOURCE_H_
 

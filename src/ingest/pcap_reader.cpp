@@ -1,7 +1,6 @@
 #include "ingest/pcap_reader.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <utility>
 
@@ -13,9 +12,9 @@ using namespace pcapfmt;
 
 namespace {
 
-// Streaming read-ahead: how much the window grows per source pull beyond
-// the bytes a record immediately needs.
-constexpr size_t kStreamChunkBytes = 256 * 1024;
+// The window's size: each source pull reads up to this much ahead. A record
+// larger than the window grows it to fit.
+constexpr size_t kWindowBytes = 256 * 1024;
 
 // A pcapng block larger than this is a corrupt length field, not data: the
 // packet payload inside a block is already capped at kMaxSaneCaplen, so a
@@ -147,8 +146,8 @@ uint32_t PcapReader::Load32(const uint8_t* p) const {
 
 bool PcapReader::Malformed(const std::string& what) {
   error_ = what;
-  offset_ = data_.size();  // terminate the stream
-  source_eof_ = true;      // and stop pulling from a streaming source
+  offset_ = end_;      // terminate the stream
+  source_eof_ = true;  // and stop pulling from the source
   return false;
 }
 
@@ -156,29 +155,30 @@ bool PcapReader::Refill(size_t need) {
   if (Available() >= need) {
     return true;
   }
-  if (source_ == nullptr || source_eof_) {
-    return false;  // slurp mode: what's loaded is all there is
+  if (source_eof_) {
+    return false;
   }
   if (offset_ > 0) {
-    // Drop the consumed prefix so the window stays bounded by one
-    // in-flight record plus read-ahead.
-    data_.erase(data_.begin(), data_.begin() + static_cast<ptrdiff_t>(offset_));
+    // Move the unread tail to the front, so the window stays bounded by
+    // one in-flight record plus read-ahead.
+    std::memmove(data_.data(), data_.data() + offset_, Available());
+    end_ -= offset_;
     offset_ = 0;
   }
-  while (data_.size() < need) {
+  if (data_.size() < need) {
+    data_.resize(std::max(need, kWindowBytes));
+  }
+  while (end_ < need) {
     if (hold_ && !source_->Ready()) {
       stalled_ = true;  // NextBatch hands over what it holds instead of waiting
       return false;
     }
-    const size_t old_size = data_.size();
-    const size_t want = std::max(need - old_size, kStreamChunkBytes);
-    data_.resize(old_size + want);
-    const size_t got = source_->Read(data_.data() + old_size, want);
-    data_.resize(old_size + got);
+    const size_t got = source_->Read(data_.data() + end_, data_.size() - end_);
     if (got == 0) {
       source_eof_ = true;
       break;
     }
+    end_ += got;
   }
   return Available() >= need;
 }
@@ -186,52 +186,21 @@ bool PcapReader::Refill(size_t need) {
 bool PcapReader::SourceEof() {
   // End-of-stream on a record boundary: clean unless the source died
   // (a socket error must not masquerade as a finished capture).
-  if (source_ != nullptr && !source_->ok()) {
+  if (!source_->ok()) {
     Malformed("byte source failed: " + source_->error());
   }
   return false;
 }
 
 bool PcapReader::Open(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    error_ = "cannot open " + path;
-    return false;
-  }
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  std::vector<uint8_t> data;
-  if (size > 0) {
-    data.resize(static_cast<size_t>(size));
-    if (std::fread(data.data(), 1, data.size(), f) != data.size()) {
-      std::fclose(f);
-      error_ = "short read on " + path;
-      return false;
-    }
-  }
-  std::fclose(f);
-  return OpenBuffer(std::move(data));
-}
-
-bool PcapReader::OpenBuffer(std::vector<uint8_t> data) {
-  data_ = std::move(data);
-  source_.reset();
-  source_eof_ = false;
-  offset_ = 0;
-  body_start_ = 0;
-  interfaces_.clear();
-  stats_ = IngestStats{};
-  error_.clear();
-  return ParseContainerHeader();
+  return OpenStream(MakeFileByteSource(path));
 }
 
 bool PcapReader::OpenStream(std::unique_ptr<ByteSource> source) {
-  data_.clear();
   source_ = std::move(source);
   source_eof_ = false;
   offset_ = 0;
-  body_start_ = 0;
+  end_ = 0;
   interfaces_.clear();
   stats_ = IngestStats{};
   error_.clear();
@@ -247,26 +216,11 @@ bool PcapReader::OpenStream(std::unique_ptr<ByteSource> source) {
   return ParseContainerHeader();
 }
 
-void PcapReader::Rewind() {
-  if (source_ != nullptr) {
-    error_ = "cannot rewind a streaming capture";
-    return;
-  }
-  offset_ = body_start_;
-  stats_ = IngestStats{};
-  error_.clear();
-  if (format_ == PcapFormat::kPcapNg) {
-    // Interface state is (re)established by the SHB/IDB blocks as the
-    // stream replays.
-    interfaces_.clear();
-    offset_ = 0;
-    ParseContainerHeader();
-  }
-}
-
 bool PcapReader::ParseContainerHeader() {
   if (!Refill(4)) {
-    error_ = "capture shorter than any magic number";
+    // A source that failed (a directory opens, then fails to read) says so.
+    error_ = source_->ok() ? "capture shorter than any magic number"
+                           : "byte source failed: " + source_->error();
     return false;
   }
   const uint8_t* head = data_.data() + offset_;
@@ -280,7 +234,6 @@ bool PcapReader::ParseContainerHeader() {
   if (magic == kBlockSectionHeader) {
     // pcapng: blocks carry their own structure; NextNg consumes the SHB.
     format_ = PcapFormat::kPcapNg;
-    body_start_ = offset_;
     return true;
   }
 
@@ -320,7 +273,6 @@ bool PcapReader::ParseContainerHeader() {
   }
   interfaces_.assign(1, iface);
   offset_ += kPcapGlobalHeaderBytes;
-  body_start_ = offset_;
   return true;
 }
 
@@ -363,7 +315,7 @@ size_t PcapReader::NextBatch(std::span<PacketRecord> out) {
     ++n;
     // A live source hands over what has arrived: once a record is held,
     // a refill that would wait on the source ends the burst instead.
-    hold_ = streaming();
+    hold_ = true;
   }
   hold_ = false;
   stalled_ = false;

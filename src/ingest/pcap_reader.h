@@ -26,23 +26,18 @@
 // with ok() == false and a diagnostic in error(). An unsupported linktype
 // fails Open() for classic pcap and skips the interface for pcapng.
 //
-// Two ingestion modes share the parsing core:
-//
-//   * slurp (Open / OpenBuffer) - the whole capture is loaded up front
-//     (captures at the repo's bench scale are file-cache resident anyway),
-//     and Rewind() restarts the packet stream without re-reading the file,
-//     which is how multi-pass consumers (oracle + replay, benchmark loops)
-//     avoid I/O in the hot loop;
-//   * streaming (OpenStream) - bytes are pulled incrementally from a
-//     ByteSource into a bounded window that is compacted as records are
-//     consumed, so pipes, sockets, stdin, and captures larger than memory
-//     all work. Memory is bounded by one record's caplen (itself capped at
-//     kMaxSaneCaplen), Rewind() is refused, and a source that ends
-//     mid-record reports the same malformed-container diagnostics as a
-//     truncated file.
+// Every capture is read one way: bytes are pulled from a ByteSource (a
+// file, stdin, a pipe, a socket, or an in-memory buffer) into a bounded
+// window that is compacted as records are consumed, so a capture is never
+// held whole and captures larger than memory work. The window holds one
+// read-ahead chunk, grown only when a record needs more (one record's
+// caplen is itself capped at kMaxSaneCaplen). A source that ends
+// mid-record reports the same malformed-container diagnostics as a
+// truncated file. The stream reads once; a second pass opens the capture
+// again.
 //
 // Gzip'd captures are recognized by magic on open and refused with a
-// targeted error (pipe through zcat into OpenStream instead).
+// targeted error (pipe through zcat instead).
 #ifndef HK_INGEST_PCAP_READER_H_
 #define HK_INGEST_PCAP_READER_H_
 
@@ -96,20 +91,15 @@ class PcapReader {
  public:
   explicit PcapReader(PcapKeyPolicy policy = PcapKeyPolicy::kFiveTuple) : policy_(policy) {}
 
-  // Slurp + parse the container header. False on I/O error or a capture
-  // that is not pcap/pcapng (error() says why).
+  // Open `path` as a file source ("-" reads stdin) and parse the container
+  // header: OpenStream(MakeFileByteSource(path)).
   bool Open(const std::string& path);
 
-  // Adopt an in-memory capture (tests, synthetic sources).
-  bool OpenBuffer(std::vector<uint8_t> data);
-
-  // Incremental mode: pull bytes from `source` on demand instead of
-  // slurping. The buffered window stays bounded (one in-flight record plus
-  // a read-ahead chunk); Next() blocks inside the source when the stream
-  // runs dry. False when the source failed to open or the leading
-  // container header is not pcap/pcapng.
+  // Pull bytes from `source` on demand and parse the container header.
+  // Next() blocks inside the source when the stream runs dry. False when
+  // the source failed to open or the leading container header is not
+  // pcap/pcapng (error() says why).
   bool OpenStream(std::unique_ptr<ByteSource> source);
-  bool streaming() const { return source_ != nullptr; }
 
   // Yield the next IP packet. Returns false at end-of-stream or when the
   // container is malformed beyond recovery; ok() distinguishes the two.
@@ -119,16 +109,11 @@ class PcapReader {
   // end-of-stream or after a malformed-container stop). Records equal what
   // Next() would yield, ids included; the ids are hashed across the whole
   // burst, lane-parallel (the TraceReplayer burst loop reads this way).
-  // Streaming from a live source (a pipe or socket with nothing more
-  // ready), it returns the records it holds rather than wait for the rest
-  // of the burst; it waits only for the first. Buffers and regular files
-  // are always ready, so their bursts come back full except at the end.
+  // From a live source (a pipe or socket with nothing more ready), it
+  // returns the records it holds rather than wait for the rest of the
+  // burst; it waits only for the first. Buffers and regular files are
+  // always ready, so their bursts come back full except at the end.
   size_t NextBatch(std::span<PacketRecord> out);
-
-  // Restart the packet stream (and stats) over the already-loaded capture.
-  // Streaming captures cannot rewind: the call fails the stream (ok()
-  // turns false) instead of silently replaying a partial window.
-  void Rewind();
 
   // True while the stream is well-formed; false after a malformed-container
   // stop (error() carries the diagnostic). End-of-file keeps ok() true.
@@ -156,13 +141,13 @@ class PcapReader {
   bool ParseContainerHeader();
   // Next() without the id: the parsed record, PacketRecord::id untouched.
   bool NextRecord(PacketRecord* out);
-  // Ensure >= `need` unread bytes are buffered. Slurp mode: a pure
-  // availability check. Streaming: compact the consumed prefix, then pull
-  // from the source until satisfied or end-of-stream - or, while hold_ is
-  // set, until the source has nothing ready (false with stalled_ set; the
-  // record is left unconsumed).
+  // Ensure >= `need` unread bytes are buffered: move the unread tail to
+  // the front of the window, grow the window only if `need` exceeds it,
+  // then read into its spare room until satisfied or end-of-stream - or,
+  // while hold_ is set, until the source has nothing ready (false with
+  // stalled_ set; the record is left unconsumed).
   bool Refill(size_t need);
-  size_t Available() const { return data_.size() - offset_; }
+  size_t Available() const { return end_ - offset_; }
   bool SourceEof();
   bool NextClassic(PacketRecord* out);
   bool NextNg(PacketRecord* out);
@@ -179,14 +164,14 @@ class PcapReader {
   uint32_t Load32(const uint8_t* p) const;
 
   PcapKeyPolicy policy_;
-  std::vector<uint8_t> data_;
-  std::unique_ptr<ByteSource> source_;  // non-null = streaming mode
+  std::vector<uint8_t> data_;  // the window; bytes [offset_, end_) are unread
+  std::unique_ptr<ByteSource> source_;
   bool source_eof_ = false;
   bool hold_ = false;     // NextBatch holds records: Refill must not wait
   bool stalled_ = false;  // a Refill under hold_ found the source not ready
-  size_t offset_ = 0;       // next unread byte
-  size_t body_start_ = 0;   // first record/block after the container header
-  bool swapped_ = false;    // container endianness != host
+  size_t offset_ = 0;     // next unread byte
+  size_t end_ = 0;        // one past the last byte read into the window
+  bool swapped_ = false;  // container endianness != host
   PcapFormat format_ = PcapFormat::kPcap;
   // Classic pcap: the single pseudo-interface; pcapng: one per IDB.
   std::vector<Interface> interfaces_;

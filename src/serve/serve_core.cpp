@@ -9,6 +9,7 @@
 #include <new>
 #include <span>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "ingest/burst_loop.h"
@@ -55,18 +56,12 @@ void AppendUint(std::string& out, uint64_t value) {
 // "FLOW " + 16 hex digits + ' ' + 20 decimal digits + '\n'.
 constexpr size_t kMaxFlowLineBytes = 43;
 
-// Open the reader for a binding: "-" and "tcp://..." always stream,
-// "stream:<path>" forces the bounded-buffer incremental mode, a bare path
-// slurps (which also makes the recovery offset skip an in-memory walk).
+// Open the reader for a binding: "tcp://host:port" connects, anything else
+// is a file source ("-" is stdin). "stream:<path>", which earlier builds
+// needed to stream a file, still names <path>: their checkpoints carry it.
 bool OpenSource(PcapReader& reader, const SourceBinding& binding, std::string* err) {
   const std::string& src = binding.source;
-  if (src == "-") {
-    if (!reader.OpenStream(MakeFileByteSource("-"))) {
-      *err = reader.error();
-      return false;
-    }
-    return true;
-  }
+  std::unique_ptr<ByteSource> source;
   std::string host;
   uint16_t port = 0;
   if (ParseTcpEndpoint(src, &host, &port)) {
@@ -74,21 +69,12 @@ bool OpenSource(PcapReader& reader, const SourceBinding& binding, std::string* e
     if (fd < 0) {
       return false;
     }
-    if (!reader.OpenStream(MakeFdByteSource(fd, /*own_fd=*/true))) {
-      *err = reader.error();
-      return false;
-    }
-    return true;
+    source = MakeFdByteSource(fd, /*own_fd=*/true);
+  } else {
+    constexpr std::string_view kStream = "stream:";
+    source = MakeFileByteSource(src.starts_with(kStream) ? src.substr(kStream.size()) : src);
   }
-  constexpr const char kStream[] = "stream:";
-  if (src.rfind(kStream, 0) == 0) {
-    if (!reader.OpenStream(MakeFileByteSource(src.substr(sizeof(kStream) - 1)))) {
-      *err = reader.error();
-      return false;
-    }
-    return true;
-  }
-  if (!reader.Open(src)) {
+  if (!reader.OpenStream(std::move(source))) {
     *err = reader.error();
     return false;
   }
@@ -294,10 +280,10 @@ bool ServeCore::Attach(const std::string& name, const SourceBinding& binding,
       return false;
     }
   }
-  // Open a replayable source here, with the map unlocked: a slurp takes as
-  // long as the file is big, a FIFO's open waits for its writer, and every
-  // verb on every instance needs map_mu_. This read is the only one; the
-  // ingest thread applies from this reader.
+  // Open a replayable source and read its capture header here, with the
+  // map unlocked: a FIFO's open waits for its writer, and every verb on
+  // every instance needs map_mu_. The ingest thread reads on from this
+  // reader.
   std::unique_ptr<PcapReader> reader;
   if (ReplayableSource(binding.source)) {
     reader = std::make_unique<PcapReader>(binding.policy);

@@ -34,14 +34,16 @@
 //   Anything else                 ERR <diagnostic>
 //
 // <name> may be omitted from TOPK/POINT/STATS when exactly one instance
-// exists (the single-tenant convenience). <source> is a capture path, "-"
-// for stdin, or "tcp://host:port" for a socket streaming pcap bytes; files
-// are slurped unless larger-than-memory streaming is forced with the
-// "stream:" prefix, pipes/sockets always stream. ATTACH opens a file source
-// once, without map_mu_ (no other verb waits for the read), and hands the
-// open reader to the instance's ingest thread, which starts applying at
-// once. "-" and tcp:// sources are opened by the thread itself: their
-// header read waits on the peer, and ATTACH does not.
+// exists (the single-tenant convenience). <source> is a capture path (a
+// file or a FIFO), "-" for stdin, or "tcp://host:port" for a socket
+// streaming pcap bytes; "stream:<path>" is a synonym for <path>, kept for
+// the checkpoints and scripts of earlier builds. Every source streams
+// through a bounded window, so the daemon holds no copy of any capture.
+// ATTACH opens a path and reads its capture header, without map_mu_ (no
+// other verb waits for the read), and hands the open reader to the
+// instance's ingest thread, which starts applying at once. "-" and tcp://
+// sources are opened by the thread itself: their header read waits on the
+// peer, and ATTACH does not.
 //
 // Concurrency: each attached instance ingests on its own thread, through
 // RunBurstLoop (ingest/burst_loop.h). When the sketch applies on that

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "ingest/byte_source.h"
 #include "ingest/pcap_format.h"
 #include "ingest/pcap_reader.h"
 #include "ingest/pcap_writer.h"
@@ -82,7 +83,7 @@ DrainResult Drain(std::vector<uint8_t> bytes,
                   PcapKeyPolicy policy = PcapKeyPolicy::kFiveTuple) {
   PcapReader reader(policy);
   DrainResult result;
-  if (!reader.OpenBuffer(std::move(bytes))) {
+  if (!reader.OpenStream(MakeBufferByteSource(std::move(bytes)))) {
     result.error = reader.error();
     return result;
   }
@@ -97,22 +98,23 @@ DrainResult Drain(std::vector<uint8_t> bytes,
 }
 
 TEST(PcapHardeningTest, EmptyAndTinyBuffersFailCleanly) {
-  EXPECT_FALSE(PcapReader().OpenBuffer({}));
-  EXPECT_FALSE(PcapReader().OpenBuffer({0xa1}));
-  EXPECT_FALSE(PcapReader().OpenBuffer({0xde, 0xad, 0xbe, 0xef}));  // bad magic
+  EXPECT_FALSE(PcapReader().OpenStream(MakeBufferByteSource({})));
+  EXPECT_FALSE(PcapReader().OpenStream(MakeBufferByteSource({0xa1})));
+  // Bad magic.
+  EXPECT_FALSE(PcapReader().OpenStream(MakeBufferByteSource({0xde, 0xad, 0xbe, 0xef})));
 }
 
 TEST(PcapHardeningTest, TruncatedGlobalHeaderFailsOpen) {
   std::vector<uint8_t> bytes = ClassicHeader();
   bytes.resize(10);
   PcapReader reader;
-  EXPECT_FALSE(reader.OpenBuffer(std::move(bytes)));
+  EXPECT_FALSE(reader.OpenStream(MakeBufferByteSource(std::move(bytes))));
   EXPECT_FALSE(reader.ok());
 }
 
 TEST(PcapHardeningTest, UnknownLinktypeFailsOpen) {
   PcapReader reader;
-  EXPECT_FALSE(reader.OpenBuffer(ClassicHeader(/*link_type=*/147)));
+  EXPECT_FALSE(reader.OpenStream(MakeBufferByteSource(ClassicHeader(/*link_type=*/147))));
   EXPECT_NE(reader.error().find("linktype"), std::string::npos) << reader.error();
 }
 

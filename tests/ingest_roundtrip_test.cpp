@@ -20,6 +20,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "ingest/byte_source.h"
 #include "ingest/capture_synth.h"
 #include "ingest/pcap_reader.h"
 #include "ingest/pcap_writer.h"
@@ -219,7 +220,7 @@ TEST(RoundTripEndiannessTest, SwappedClassicPcapParsesIdentically) {
   const ReadBack native = ReadAll(path, PcapKeyPolicy::kFiveTuple);
 
   PcapReader swapped(PcapKeyPolicy::kFiveTuple);
-  ASSERT_TRUE(swapped.OpenBuffer(SwapClassic(Slurp(path))));
+  ASSERT_TRUE(swapped.OpenStream(MakeBufferByteSource(SwapClassic(Slurp(path)))));
   std::unordered_map<FlowId, uint64_t> counts;
   std::vector<uint64_t> timestamps;
   PacketRecord record;
@@ -230,31 +231,6 @@ TEST(RoundTripEndiannessTest, SwappedClassicPcapParsesIdentically) {
   EXPECT_TRUE(swapped.ok()) << swapped.error();
   EXPECT_EQ(counts, native.counts);
   EXPECT_EQ(timestamps, native.timestamps);
-}
-
-TEST(RoundTripRewindTest, RewindReplaysTheIdenticalStream) {
-  const std::string path = TempPath("rt_rewind.pcapng");
-  CaptureSynthOptions options;
-  options.file.format = PcapFormat::kPcapNg;
-  ZipfTraceConfig config = CaidaFixtureConfig();
-  config.num_packets = 400;
-  const Trace trace = SynthesizeCapture(config, path, options);
-  ASSERT_GT(trace.num_packets(), 0u);
-
-  PcapReader reader(PcapKeyPolicy::kAddrPair);
-  ASSERT_TRUE(reader.Open(path));
-  std::vector<FlowId> first, second;
-  PacketRecord record;
-  while (reader.Next(&record)) {
-    first.push_back(record.id);
-  }
-  reader.Rewind();
-  while (reader.Next(&record)) {
-    second.push_back(record.id);
-  }
-  EXPECT_TRUE(reader.ok()) << reader.error();
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(first.size(), trace.num_packets());
 }
 
 // HK_WRITE_PCAP_FIXTURES=1 regenerates the committed captures. Kept as a

@@ -1,10 +1,11 @@
-// Streaming-mode PcapReader (the hk_serve ingest contract): pulling a
-// capture through a ByteSource in arbitrarily small chunks must yield the
-// bit-identical packet stream the slurp path produces, for both container
-// formats, on files, pipes, and in-memory buffers. Plus the new framings
-// and failure modes: Linux cooked capture (SLL v1/v2, the `tcpdump -i
-// any` linktype), gzip detection with a targeted error, truncated streams,
-// and the no-rewind rule.
+// PcapReader over a ByteSource (the hk_serve ingest contract): pulling a
+// capture in arbitrarily small chunks, from a file or across a pipe, must
+// yield the packet stream of one read of the whole capture handed over in
+// a single buffer (its "slurp" here), bit for bit, for both container
+// formats; and that read must be the trace the capture was synthesized
+// from. Plus the framings and failure modes: Linux cooked capture (SLL
+// v1/v2, the `tcpdump -i any` linktype), gzip detection with a targeted
+// error, and truncated streams.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -67,35 +68,57 @@ StreamResult Drain(PcapReader& reader) {
   return result;
 }
 
-std::string MakeCapture(PcapFormat format, const std::string& name, uint32_t packets = 1200) {
-  const std::string path = TempPath(name);
+// A synthesized capture and the trace it was written from.
+struct Capture {
+  std::string path;
+  Trace trace;
+};
+
+Capture MakeCapture(PcapFormat format, const std::string& name, uint32_t packets = 1200) {
+  Capture capture{TempPath(name), {}};
   CaptureSynthOptions options;
   options.file.format = format;
   options.vlan_every = 7;
   options.ipv6_every = 5;
   ZipfTraceConfig config = CampusConfig(packets, 31);
-  const Trace trace = SynthesizeCapture(config, path, options);
-  EXPECT_GT(trace.num_packets(), 0u);
-  return path;
+  capture.trace = SynthesizeCapture(config, capture.path, options);
+  EXPECT_GT(capture.trace.num_packets(), 0u);
+  return capture;
+}
+
+// The reference stream: the whole capture handed over in one buffer, which
+// must be the synthesized trace itself - its ids in order, and the
+// synthesizer's timestamps (start_ns + i * gap_ns).
+StreamResult ReadSlurp(const Capture& capture) {
+  PcapReader reader;
+  EXPECT_TRUE(reader.OpenStream(MakeBufferByteSource(Slurp(capture.path), 0))) << reader.error();
+  StreamResult result = Drain(reader);
+  EXPECT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.ids, capture.trace.packets);
+  const CaptureSynthOptions synth;
+  std::vector<uint64_t> timestamps(capture.trace.packets.size());
+  for (size_t i = 0; i < timestamps.size(); ++i) {
+    timestamps[i] = synth.start_ns + i * synth.gap_ns;
+  }
+  EXPECT_EQ(result.timestamps, timestamps);
+  EXPECT_EQ(result.stats.packets, capture.trace.num_packets());
+  return result;
 }
 
 class StreamEquivalenceTest : public ::testing::TestWithParam<PcapFormat> {};
 
 TEST_P(StreamEquivalenceTest, ChunkedSourceMatchesSlurpAtEveryChunkSize) {
-  const std::string path =
+  const Capture capture =
       MakeCapture(GetParam(), GetParam() == PcapFormat::kPcap ? "st_eq.pcap" : "st_eq.pcapng");
-  PcapReader slurp;
-  ASSERT_TRUE(slurp.Open(path)) << slurp.error();
-  const StreamResult expect = Drain(slurp);
+  const StreamResult expect = ReadSlurp(capture);
   ASSERT_TRUE(expect.ok) << expect.error;
   ASSERT_GT(expect.ids.size(), 0u);
 
-  const std::vector<uint8_t> bytes = Slurp(path);
+  const std::vector<uint8_t> bytes = Slurp(capture.path);
   for (const size_t chunk : {size_t{1}, size_t{3}, size_t{7}, size_t{64}, size_t{4096}}) {
     PcapReader reader;
     ASSERT_TRUE(reader.OpenStream(MakeBufferByteSource(bytes, chunk)))
         << "chunk " << chunk << ": " << reader.error();
-    EXPECT_TRUE(reader.streaming());
     const StreamResult got = Drain(reader);
     EXPECT_TRUE(got.ok) << "chunk " << chunk << ": " << got.error;
     EXPECT_EQ(got.ids, expect.ids) << "chunk " << chunk;
@@ -106,18 +129,17 @@ TEST_P(StreamEquivalenceTest, ChunkedSourceMatchesSlurpAtEveryChunkSize) {
 }
 
 TEST_P(StreamEquivalenceTest, FileSourceMatchesSlurp) {
-  const std::string path =
+  const Capture capture =
       MakeCapture(GetParam(), GetParam() == PcapFormat::kPcap ? "st_f.pcap" : "st_f.pcapng");
-  PcapReader slurp;
-  ASSERT_TRUE(slurp.Open(path)) << slurp.error();
-  const StreamResult expect = Drain(slurp);
+  const StreamResult expect = ReadSlurp(capture);
 
   PcapReader reader;
-  ASSERT_TRUE(reader.OpenStream(MakeFileByteSource(path))) << reader.error();
+  ASSERT_TRUE(reader.Open(capture.path)) << reader.error();
   const StreamResult got = Drain(reader);
   EXPECT_TRUE(got.ok) << got.error;
   EXPECT_EQ(got.ids, expect.ids);
   EXPECT_EQ(got.timestamps, expect.timestamps);
+  EXPECT_EQ(got.stats.wire_bytes, expect.stats.wire_bytes);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothFormats, StreamEquivalenceTest,
@@ -129,12 +151,10 @@ INSTANTIATE_TEST_SUITE_P(BothFormats, StreamEquivalenceTest,
 TEST(StreamPipeTest, ReadsAcrossAPipeFedInSmallBursts) {
   // The daemon's stdin/socket shape: a writer thread dribbles the capture
   // through a pipe while the reader blocks in Refill.
-  const std::string path = MakeCapture(PcapFormat::kPcap, "st_pipe.pcap", 600);
-  PcapReader slurp;
-  ASSERT_TRUE(slurp.Open(path)) << slurp.error();
-  const StreamResult expect = Drain(slurp);
+  const Capture capture = MakeCapture(PcapFormat::kPcap, "st_pipe.pcap", 600);
+  const StreamResult expect = ReadSlurp(capture);
 
-  const std::vector<uint8_t> bytes = Slurp(path);
+  const std::vector<uint8_t> bytes = Slurp(capture.path);
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
   std::thread feeder([&bytes, fd = fds[1]] {
@@ -157,20 +177,8 @@ TEST(StreamPipeTest, ReadsAcrossAPipeFedInSmallBursts) {
   EXPECT_EQ(got.ids, expect.ids);
 }
 
-TEST(StreamRewindTest, RewindIsRefusedInStreamingMode) {
-  const std::string path = MakeCapture(PcapFormat::kPcap, "st_rw.pcap", 100);
-  PcapReader reader;
-  ASSERT_TRUE(reader.OpenStream(MakeFileByteSource(path))) << reader.error();
-  PacketRecord record;
-  ASSERT_TRUE(reader.Next(&record));
-  reader.Rewind();
-  EXPECT_FALSE(reader.ok());
-  EXPECT_NE(reader.error().find("rewind"), std::string::npos) << reader.error();
-}
-
 TEST(StreamTruncationTest, StreamEndingMidRecordIsMalformedNotEof) {
-  const std::string path = MakeCapture(PcapFormat::kPcap, "st_cut.pcap", 200);
-  std::vector<uint8_t> bytes = Slurp(path);
+  std::vector<uint8_t> bytes = Slurp(MakeCapture(PcapFormat::kPcap, "st_cut.pcap", 200).path);
   bytes.resize(bytes.size() - 5);  // cut inside the final record's payload
 
   PcapReader reader;
@@ -196,7 +204,7 @@ TEST(GzipTest, GzipMagicIsRefusedWithATargetedError) {
   gz.resize(64, 0);
 
   PcapReader buffered;
-  EXPECT_FALSE(buffered.OpenBuffer(gz));
+  EXPECT_FALSE(buffered.OpenStream(MakeBufferByteSource(gz)));
   EXPECT_NE(buffered.error().find("gzip"), std::string::npos) << buffered.error();
   EXPECT_NE(buffered.error().find("zcat"), std::string::npos) << buffered.error();
 
@@ -294,7 +302,7 @@ TEST(SllTruncationTest, ShortCookedHeaderIsSkippedNotParsed) {
   bytes.resize(bytes.size() + 10, 0xee);
 
   PcapReader reader;
-  ASSERT_TRUE(reader.OpenBuffer(bytes));
+  ASSERT_TRUE(reader.OpenStream(MakeBufferByteSource(bytes)));
   const StreamResult got = Drain(reader);
   EXPECT_TRUE(got.ok) << got.error;
   EXPECT_EQ(got.stats.packets, 1u);

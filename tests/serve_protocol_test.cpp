@@ -1,9 +1,9 @@
 // hk_serve line-protocol tests: ServeCore::Execute() verb coverage
 // (multi-tenancy, the single-tenant name-omission convenience, relaxed vs
-// exact TOPK, ingest from a synthesized capture, the one-read ATTACH, the
-// ingest stage timers, live and idle FIFO sources and DROP mid-ingest) and the
-// LineServer TCP transport end to end over loopback, including its
-// connection cap.
+// exact TOPK, ingest from a synthesized capture, the one-read ATTACH, a
+// capture larger than memory, the ingest stage timers, live and idle FIFO
+// sources under both spellings and DROP mid-ingest) and the LineServer TCP
+// transport end to end over loopback, including its connection cap.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -16,6 +16,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -199,6 +200,8 @@ TEST(ServeProtocol, AttachErrors) {
   ServeCore core(SmallOptions());
   core.Execute("CREATE a HK");
   EXPECT_EQ(core.Execute("ATTACH a /nonexistent/missing.pcap").rfind("ERR ", 0), 0u);
+  EXPECT_EQ(core.Execute("ATTACH a " + ::testing::TempDir()),
+            "ERR byte source failed: read: Is a directory\n");
   EXPECT_EQ(core.Execute("ATTACH a x.pcap key=bogus").rfind("ERR ", 0), 0u);
   EXPECT_EQ(core.Execute("ATTACH a x.pcap frobnicate").rfind("ERR ", 0), 0u);
   EXPECT_EQ(core.Execute("ATTACH nosuch x.pcap").rfind("ERR ", 0), 0u);
@@ -272,6 +275,38 @@ TEST(ServeProtocol, TornCaptureReportsIngestErrorOnceDone) {
   std::remove(path.c_str());
 }
 
+// A capture larger than memory streams like any other: ATTACH reads its
+// header, and the ingest thread applies the records before the damage. The
+// file holds five records, then a record header whose caplen no capture
+// carries, then a sparse tail to 1 TiB, so a reader that loaded the whole
+// file first would need 1 TiB of memory.
+TEST(ServeProtocol, AttachStreamsACaptureLargerThanMemory) {
+  struct RemoveAtExit {
+    ~RemoveAtExit() { std::remove(path.c_str()); }
+    std::string path;
+  } file{TempPath("serve_huge_" + std::to_string(::getpid()) + ".pcap")};
+  const Trace trace = SynthesizeCapture(CampusConfig(5, 41), file.path, CaptureSynthOptions{});
+  ASSERT_EQ(trace.packets.size(), 5u);
+  {
+    // ts_sec, ts_frac, caplen, origlen: a caplen of 2^32 - 1 reads the same
+    // in either byte order.
+    const uint32_t bogus[4] = {0, 0, 0xffffffffu, 64};
+    std::ofstream out(file.path, std::ios::binary | std::ios::app);
+    out.write(reinterpret_cast<const char*>(bogus), sizeof(bogus));
+  }
+  if (::truncate(file.path.c_str(), off_t{1} << 40) != 0) {
+    GTEST_SKIP() << "the filesystem refused a 1 TiB sparse file: " << std::strerror(errno);
+  }
+  ServeCore core(SmallOptions());
+  ASSERT_EQ(core.Execute("CREATE huge HK"), "OK created huge\n");
+  EXPECT_EQ(core.Execute("ATTACH huge " + file.path), "OK attached huge\n");
+  core.DrainIngest();
+  EXPECT_EQ(core.PacketsApplied("huge"), trace.packets.size());
+  const std::string stats = core.Execute("STATS huge");
+  EXPECT_NE(stats.find("STAT ingest_error bogus caplen 4294967295\n"), std::string::npos)
+      << stats;
+}
+
 // The three ingest stage counters tile the ingest thread's time: together
 // they cover at least 90% of the wall time from Attach returning to the
 // drain. The thread starts inside Attach, and a caller descheduled after
@@ -338,12 +373,34 @@ size_t ThreadCount() {
   return static_cast<size_t>(std::distance(begin(tasks), end(tasks)));
 }
 
+// The two spellings of a FIFO source: its bare path, and "stream:<path>",
+// which earlier builds needed to stream one and their checkpoints carry.
+constexpr const char* kFifoSpellings[] = {"", "stream:"};
+
+// The write side of `fifo`, opened once ATTACH has opened the read side (a
+// non-blocking open fails until then) and blocking from there on; -1 after
+// 10 s, so a test fails instead of hanging. SIGPIPE is ignored, as hk_serve
+// ignores it, so a reader that goes away leaves the writer an EPIPE.
+int OpenFifoWriter(const std::string& fifo) {
+  std::signal(SIGPIPE, SIG_IGN);
+  int fd = -1;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((fd = ::open(fifo.c_str(), O_WRONLY | O_NONBLOCK)) < 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (fd >= 0) {
+    ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) & ~O_NONBLOCK);
+  }
+  return fd;
+}
+
 // An idle live source costs no CPU. The writer sends a capture prefix
 // (more than one 256 KB stream read) and then holds the FIFO open without
 // writing: the parse thread hands over what has arrived and sleeps in
 // read(), and the ingest thread sleeps waiting for its next burst.
 // Neither may spin through the second the writer holds.
-TEST(ServeProtocol, IngestFromAnIdleFifoCostsNoCpu) {
+void IngestFromAnIdleFifo(const std::string& spelling) {
   const std::string tag = std::to_string(::getpid());
   const std::string capture = TempPath("serve_idle_" + tag + ".pcap");
   const Trace trace = SynthesizeCapture(CampusConfig(6000, 29), capture, CaptureSynthOptions{});
@@ -358,18 +415,10 @@ TEST(ServeProtocol, IngestFromAnIdleFifoCostsNoCpu) {
   ASSERT_EQ(core.Execute("CREATE idle HK"), "OK created idle\n");
   std::promise<void> release;
   std::thread writer([&, released = release.get_future()] {
-    // A non-blocking open fails until ATTACH opens the read side; give up
-    // after 10 s rather than hang the test.
-    int fd = -1;
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while ((fd = ::open(fifo.c_str(), O_WRONLY | O_NONBLOCK)) < 0 &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    const int fd = OpenFifoWriter(fifo);
     if (fd < 0) {
       return;
     }
-    ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) & ~O_NONBLOCK);
     for (size_t off = 0; off < bytes.size();) {
       const ssize_t put = ::write(fd, bytes.data() + off, bytes.size() - off);
       if (put <= 0) {
@@ -380,7 +429,7 @@ TEST(ServeProtocol, IngestFromAnIdleFifoCostsNoCpu) {
     released.wait();
     ::close(fd);
   });
-  EXPECT_EQ(core.Execute("ATTACH idle stream:" + fifo), "OK attached idle\n");
+  EXPECT_EQ(core.Execute("ATTACH idle " + spelling + fifo), "OK attached idle\n");
   // Let what arrived be parsed and applied; after that nothing comes.
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   const double cpu_before = CpuSeconds();
@@ -397,11 +446,18 @@ TEST(ServeProtocol, IngestFromAnIdleFifoCostsNoCpu) {
   std::remove(capture.c_str());
 }
 
+TEST(ServeProtocol, IngestFromAnIdleFifoCostsNoCpu) {
+  for (const std::string spelling : kFifoSpellings) {
+    SCOPED_TRACE("ATTACH idle " + spelling + "<fifo>");
+    IngestFromAnIdleFifo(spelling);
+  }
+}
+
 // A live source's records are applied as they arrive: the writer sends a
 // 40-record capture and holds the FIFO open, and all 40 are applied within
 // a second - the ingest does not wait for a full 512-record burst or for
 // the writer to close.
-TEST(ServeProtocol, LiveFifoAppliesWhatHasArrived) {
+void LiveFifoApplies(const std::string& spelling) {
   const std::string tag = std::to_string(::getpid());
   const std::string capture = TempPath("serve_live_" + tag + ".pcap");
   const Trace trace = SynthesizeCapture(CampusConfig(40, 37), capture, CaptureSynthOptions{});
@@ -416,21 +472,15 @@ TEST(ServeProtocol, LiveFifoAppliesWhatHasArrived) {
   ASSERT_EQ(core.Execute("CREATE live HK"), "OK created live\n");
   std::promise<void> checked;
   std::thread writer([&, done = checked.get_future()] {
-    int fd = -1;
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while ((fd = ::open(fifo.c_str(), O_WRONLY | O_NONBLOCK)) < 0 &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    const int fd = OpenFifoWriter(fifo);
     if (fd < 0) {
       return;
     }
-    ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) & ~O_NONBLOCK);
     EXPECT_EQ(::write(fd, bytes.data(), bytes.size()), static_cast<ssize_t>(bytes.size()));
     done.wait_for(std::chrono::seconds(10));  // hold the pipe open
     ::close(fd);
   });
-  ASSERT_EQ(core.Execute("ATTACH live stream:" + fifo), "OK attached live\n");
+  EXPECT_EQ(core.Execute("ATTACH live " + spelling + fifo), "OK attached live\n");
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(1);
   while (core.PacketsApplied("live") < trace.packets.size() &&
          std::chrono::steady_clock::now() < deadline) {
@@ -446,6 +496,13 @@ TEST(ServeProtocol, LiveFifoAppliesWhatHasArrived) {
   EXPECT_EQ(core.PacketsApplied("live"), trace.packets.size());
   std::remove(fifo.c_str());
   std::remove(capture.c_str());
+}
+
+TEST(ServeProtocol, LiveFifoAppliesWhatHasArrived) {
+  for (const std::string spelling : kFifoSpellings) {
+    SCOPED_TRACE("ATTACH live " + spelling + "<fifo>");
+    LiveFifoApplies(spelling);
+  }
 }
 
 // The inner of the test below: 20 ms a batch, so a threaded Sharded
@@ -532,7 +589,7 @@ TEST(ServeProtocol, DrainedThreadedShardedInstanceCostsNoCpu) {
 // what the pipe has, it does not wait for a whole stream chunk. Should
 // ATTACH wait for more, the writer gives up after 5 s and closes, so the
 // test fails on the elapsed time instead of hanging.
-TEST(ServeProtocol, AttachReadsAFifoHeaderWithoutWaitingForMore) {
+void AttachReadsAFifoHeader(const std::string& spelling) {
   const std::string tag = std::to_string(::getpid());
   const std::string capture = TempPath("serve_header_" + tag + ".pcap");
   const Trace trace = SynthesizeCapture(CampusConfig(40, 37), capture, CaptureSynthOptions{});
@@ -547,22 +604,16 @@ TEST(ServeProtocol, AttachReadsAFifoHeaderWithoutWaitingForMore) {
   ASSERT_EQ(core.Execute("CREATE live HK"), "OK created live\n");
   std::promise<void> attached;
   std::thread writer([&, answered = attached.get_future()] {
-    int fd = -1;
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while ((fd = ::open(fifo.c_str(), O_WRONLY | O_NONBLOCK)) < 0 &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    const int fd = OpenFifoWriter(fifo);
     if (fd < 0) {
       return;
     }
-    ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) & ~O_NONBLOCK);
     EXPECT_EQ(::write(fd, bytes.data(), bytes.size()), static_cast<ssize_t>(bytes.size()));
     answered.wait_for(std::chrono::seconds(5));  // hold the pipe open
     ::close(fd);
   });
   const auto start = std::chrono::steady_clock::now();
-  const std::string reply = core.Execute("ATTACH live stream:" + fifo);
+  const std::string reply = core.Execute("ATTACH live " + spelling + fifo);
   const auto elapsed = std::chrono::steady_clock::now() - start;
   attached.set_value();
   writer.join();
@@ -572,6 +623,13 @@ TEST(ServeProtocol, AttachReadsAFifoHeaderWithoutWaitingForMore) {
   EXPECT_EQ(core.PacketsApplied("live"), trace.packets.size());
   std::remove(fifo.c_str());
   std::remove(capture.c_str());
+}
+
+TEST(ServeProtocol, AttachReadsAFifoHeaderWithoutWaitingForMore) {
+  for (const std::string spelling : kFifoSpellings) {
+    SCOPED_TRACE("ATTACH live " + spelling + "<fifo>");
+    AttachReadsAFifoHeader(spelling);
+  }
 }
 
 // DROP mid-ingest stops the ingest thread and its parse thread and joins

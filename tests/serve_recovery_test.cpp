@@ -96,7 +96,9 @@ std::unique_ptr<TopKAlgorithm> ReferenceFedPrefix(uint64_t packets) {
   return ref;
 }
 
-TEST(ServeRecovery, KilledMidIngestRecoversWithZeroLossFromFileSource) {
+// `spelling` prefixes the capture path: "" for the bare path, or
+// "stream:", which checkpoints written by earlier builds carry.
+void RecoverWithZeroLossFromFileSource(const std::string& spelling) {
   const Fixture& fx = Capture();
   const std::string ckpt = TempPath("reco_mid_ingest.hk");
   std::remove(ckpt.c_str());
@@ -107,7 +109,7 @@ TEST(ServeRecovery, KilledMidIngestRecoversWithZeroLossFromFileSource) {
     std::string err;
     ASSERT_TRUE(core.Create("t", kSpec, &err)) << err;
     SourceBinding binding;
-    binding.source = fx.path;
+    binding.source = spelling + fx.path;
     ASSERT_TRUE(core.Attach("t", binding, &err)) << err;
     // Let some of the stream land, then checkpoint - usually mid-ingest.
     while (core.PacketsApplied("t") < 2000) {
@@ -131,6 +133,9 @@ TEST(ServeRecovery, KilledMidIngestRecoversWithZeroLossFromFileSource) {
   // The applied offset resumed from the durable cut, not from zero.
   EXPECT_GE(revived.PacketsApplied("t"), offset_at_checkpoint);
   revived.DrainIngest();
+  const std::string stats = revived.Execute("STATS t");
+  EXPECT_NE(stats.find("STAT source " + spelling + fx.path + "\n"), std::string::npos) << stats;
+  EXPECT_EQ(stats.find("STAT ingest_error"), std::string::npos) << stats;
   // Zero loss: the file source replays with the checkpointed prefix
   // skipped, so the final state equals an uninterrupted run's.
   EXPECT_EQ(revived.PacketsApplied("t"), fx.trace.packets.size());
@@ -145,6 +150,13 @@ TEST(ServeRecovery, KilledMidIngestRecoversWithZeroLossFromFileSource) {
     want += line;
   }
   EXPECT_EQ(got.substr(0, want.size()), want);
+}
+
+TEST(ServeRecovery, KilledMidIngestRecoversWithZeroLossFromFileSource) {
+  for (const std::string spelling : {"", "stream:"}) {
+    SCOPED_TRACE("source " + spelling + "<path>");
+    RecoverWithZeroLossFromFileSource(spelling);
+  }
 }
 
 // Each instance's state buffer is reused from one checkpoint to the next:
